@@ -23,7 +23,7 @@ All four produce a ProjectionModel whose projection feeds the same KNN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -39,7 +39,7 @@ from .scatter import (
     uniform_domain_weights,
     within_scatter,
 )
-from .solver import ProjectionModel, SolverConfig, SolverError, default_q, solve
+from .solver import ProjectionModel, SolverConfig, SolverError, _canonical_signs, default_q, solve
 
 METHOD_TAGS = ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
 
@@ -78,18 +78,18 @@ class Method:
             raise ClassifyError("k must be >= 1")
 
 
-def knn_predict(
+def knn_votes(
     train_feats: np.ndarray,
     train_labels: np.ndarray,
     test_feats: np.ndarray,
-    k: int,
+    ks,
 ) -> np.ndarray:
-    """k-nearest-neighbor majority vote under Euclidean distance.
+    """k-nearest-neighbor majority votes for several k from one neighbor order.
 
-    Deterministic and seed-free: neighbors are ranked by (distance, row
-    index); among tied vote counts the class with the smallest summed
-    neighbor distance wins, and a residual tie goes to the smallest class
-    id.
+    Row r of the result holds the predictions for ks[r], each equal to
+    knn_predict(..., ks[r]). Neighbors are ranked once, for the largest k;
+    vote counts and distance sums accumulate along that order, so every
+    smaller k reads its prefix.
     """
     train = np.asarray(train_feats, dtype=np.float64)
     labels = np.asarray(train_labels, dtype=np.int64)
@@ -103,25 +103,52 @@ def knn_predict(
         raise ClassifyError("empty training set")
     if labels.shape != (n,):
         raise ClassifyError("training labels do not match training features")
-    if not 1 <= k <= n:
-        raise ClassifyError(f"k must lie in 1..{n}, got {k}")
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
+        raise ClassifyError(f"k must lie in 1..{n}, got {', '.join(map(str, ks)) or 'none'}")
     dists = cdist(test, train)
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    out = np.empty(test.shape[0], dtype=np.int64)
-    for i in range(test.shape[0]):
-        votes: dict[int, int] = {}
-        sums: dict[int, float] = {}
-        for idx in nearest[i]:
-            c = int(labels[idx])
-            votes[c] = votes.get(c, 0) + 1
-            sums[c] = sums.get(c, 0.0) + float(dists[i, idx])
-        best = max(votes.values())
-        tied = [c for c, v in votes.items() if v == best]
-        if len(tied) > 1:
-            low = min(sums[c] for c in tied)
-            tied = [c for c in tied if sums[c] == low]
-        out[i] = min(tied)
-    return out
+    nearest = _neighbor_order(dists, int(ks.max()))
+    classes, codes = np.unique(labels, return_inverse=True)
+    hit = codes[nearest][None, :, :] == np.arange(len(classes))[:, None, None]
+    votes = np.cumsum(hit, axis=2)[:, :, ks - 1]
+    # running sums in neighbor order; the masked zeros add exactly, so each
+    # equals the per-class float sum taken neighbor by neighbor
+    near = np.take_along_axis(dists, nearest, axis=1)
+    sums = np.cumsum(np.where(hit, near[None], 0.0), axis=2)[:, :, ks - 1]
+    tied = votes == votes.max(axis=0)
+    low = np.where(tied, sums, np.inf).min(axis=0)
+    winner = np.argmax(tied & (sums == low), axis=0)
+    return classes[winner.T]
+
+
+def _neighbor_order(dists: np.ndarray, k: int) -> np.ndarray:
+    """Per test row, the k nearest training rows ranked by (distance, row index)."""
+    cand = np.sort(np.argpartition(dists, k - 1, axis=1)[:, :k], axis=1)
+    order = np.argsort(np.take_along_axis(dists, cand, axis=1), axis=1, kind="stable")
+    nearest = np.take_along_axis(cand, order, axis=1)
+    # the partition keeps an arbitrary subset of the rows tied at the k-th
+    # distance; a row with such a tie (or a NaN) takes the full stable sort
+    kth = np.take_along_axis(dists, nearest[:, -1:], axis=1)
+    redo = np.count_nonzero(dists <= kth, axis=1) != k
+    if redo.any():
+        nearest[redo] = np.argsort(dists[redo], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
+def knn_predict(
+    train_feats: np.ndarray,
+    train_labels: np.ndarray,
+    test_feats: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """k-nearest-neighbor majority vote under Euclidean distance.
+
+    Deterministic and seed-free: neighbors are ranked by (distance, row
+    index); among tied vote counts the class with the smallest summed
+    neighbor distance wins, and a residual tie goes to the smallest class
+    id.
+    """
+    return knn_votes(train_feats, train_labels, test_feats, (k,))[0]
 
 
 def accuracy(predicted, truth) -> float:
@@ -156,14 +183,9 @@ def _kpca_model(
             f"requested q={q} but only {int(keep.sum())} eigenvalues "
             "are positive above tolerance; truncated",
         )
-    lam = lam[keep]
-    vecs = vecs[:, keep]
-    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
-    vecs = vecs.copy()
-    vecs[:, flip] *= -1.0
     return ProjectionModel(
-        coefficients=vecs,
-        eigenvalues=lam,
+        coefficients=_canonical_signs(vecs[:, keep]),
+        eigenvalues=lam[keep],
         gamma=0.0,
         alpha=0.0,
         effective_epsilon=0.0,
@@ -173,6 +195,90 @@ def _kpca_model(
         training_features=feats,
         centering=stats,
     )
+
+
+@dataclass(frozen=True)
+class PreparedFit:
+    """The part of a fit that depends on the data and kernel only.
+
+    Everything here is fixed once the method tag, the training set and the
+    bandwidth are: the resolved kernel, the centered Gram matrix Kc and its
+    centering statistics, and (for the pencil methods) the scatter
+    matrices. fit_prepared adds gamma, alpha, epsilon and q, so one
+    PreparedFit serves every point of a (gamma, alpha, epsilon, q) grid.
+    The training coordinates of any model fitted from it are
+    Kc.T @ projection_basis(model), equal to project(model, features).
+    """
+
+    tag: str
+    spec: KernelSpec
+    features: np.ndarray
+    centering: CenteringStats
+    Kc: np.ndarray
+    default_q: int
+    scatters: ScatterSet | None = None
+    adjustments: tuple[str, ...] = ()
+
+
+def prepare_fit(
+    tag: str,
+    train: LabeledDataset,
+    spec: KernelSpec,
+    lenient: bool = False,
+) -> PreparedFit:
+    """Kernel, centering and scatters for fitting method ``tag`` on train.
+
+    The bandwidth is resolved on the training features when the spec
+    carries the "median" sentinel.
+    """
+    if tag == "raw_knn":
+        raise ClassifyError("raw_knn has no projection model to fit")
+    if tag not in METHOD_TAGS:
+        raise ClassifyError(f"unknown method {tag!r}; use one of {METHOD_TAGS}")
+    spec = resolve_bandwidth(spec, train.features)
+    X = train.features
+    K = gram(X, X, spec)
+    stats = CenteringStats.from_train(K)
+    Kc = center_train(K)
+    groups = group_index(train)
+    q = default_q(train.n, len(groups.per_class), len(groups.per_domain))
+    if tag == "kpca":
+        return PreparedFit(tag, spec, X, stats, Kc, q)
+    weights = build_weights(groups, lenient=lenient)
+    if tag == "dica_marginal":
+        vectors, mean = uniform_domain_weights(groups)
+        scatters = ScatterSet(
+            conditional=np.zeros((train.n, train.n)),
+            prior=domain_scatter(Kc, vectors, mean),
+            between=between_scatter(Kc, weights),
+            within=within_scatter(Kc, weights),
+        )
+    else:
+        scatters = scatter_set(Kc, weights)
+    return PreparedFit(tag, spec, X, stats, Kc, q, scatters, weights.adjustments)
+
+
+def fit_prepared(method: Method, prepared: PreparedFit) -> ProjectionModel:
+    """Solve for the projection of ``method`` on a prepare_fit result."""
+    if method.tag != prepared.tag:
+        raise ClassifyError(f"a {prepared.tag} preparation cannot fit {method.tag}")
+    n = prepared.Kc.shape[0]
+    q = method.q if method.q is not None else prepared.default_q
+    if q > n:
+        raise ClassifyError(f"q={q} exceeds the training size n={n}")
+    if method.tag == "kpca":
+        return _kpca_model(prepared.Kc, q, prepared.spec, prepared.features, prepared.centering)
+    # dica_marginal weighs its domain scatter (stored as the prior) by 1;
+    # kfda leaves between vs within + ridge
+    gamma, alpha = {"dica_marginal": (0.0, 1.0), "kfda": (0.0, 0.0)}.get(
+        method.tag, (method.gamma, method.alpha)
+    )
+    config = SolverConfig(gamma=gamma, alpha=alpha, epsilon=method.epsilon, q=q)
+    model = solve(prepared.scatters, config, kernel_spec=prepared.spec,
+                  training_features=prepared.features, centering=prepared.centering)
+    if prepared.adjustments:
+        model = replace(model, warnings=model.warnings + prepared.adjustments)
+    return model
 
 
 def fit_baseline(
@@ -185,55 +291,7 @@ def fit_baseline(
 
     The bandwidth is resolved on the training features when the spec
     carries the "median" sentinel, so the returned model is self-contained.
+    Equal to fit_prepared(method, prepare_fit(method.tag, train, spec,
+    lenient)).
     """
-    if method.tag == "raw_knn":
-        raise ClassifyError("raw_knn has no projection model to fit")
-    spec = resolve_bandwidth(spec, train.features)
-    X = train.features
-    K = gram(X, X, spec)
-    stats = CenteringStats.from_train(K)
-    Kc = center_train(K)
-    groups = group_index(train)
-    C, m = len(groups.per_class), len(groups.per_domain)
-    q = method.q if method.q is not None else default_q(train.n, C, m)
-    if q > train.n:
-        raise ClassifyError(f"q={q} exceeds the training size n={train.n}")
-
-    if method.tag == "kpca":
-        return _kpca_model(Kc, q, spec, X, stats)
-
-    weights = build_weights(groups, lenient=lenient)
-    config = SolverConfig(
-        gamma=method.gamma if method.tag == "cidg" else 0.0,
-        alpha=method.alpha if method.tag == "cidg" else 0.0,
-        epsilon=method.epsilon,
-        q=q,
-    )
-    if method.tag == "dica_marginal":
-        vectors, mean = uniform_domain_weights(groups)
-        scatters = ScatterSet(
-            conditional=np.zeros((train.n, train.n)),
-            prior=domain_scatter(Kc, vectors, mean),
-            between=between_scatter(Kc, weights),
-            within=within_scatter(Kc, weights),
-        )
-        config = SolverConfig(gamma=0.0, alpha=1.0, epsilon=method.epsilon, q=q)
-    else:
-        # kfda sets gamma = alpha = 0, leaving between vs within + ridge
-        scatters = scatter_set(Kc, weights)
-    model = solve(scatters, config, kernel_spec=spec, training_features=X, centering=stats)
-    extra = weights.adjustments
-    if extra:
-        model = ProjectionModel(
-            coefficients=model.coefficients,
-            eigenvalues=model.eigenvalues,
-            gamma=model.gamma,
-            alpha=model.alpha,
-            effective_epsilon=model.effective_epsilon,
-            requested_q=model.requested_q,
-            warnings=model.warnings + tuple(extra),
-            kernel_spec=model.kernel_spec,
-            training_features=model.training_features,
-            centering=model.centering,
-        )
-    return model
+    return fit_prepared(method, prepare_fit(method.tag, train, spec, lenient))

@@ -21,9 +21,28 @@ dica_marginal ignore gamma and alpha).
 
 The bandwidth grid is relative: each scale multiplies the median pairwise
 distance of the data being fitted, so the fit-part and the refit resolve
-their own medians. One eigensolve per (scale, gamma, alpha, epsilon)
-serves all q values: the solver returns a descending prefix of
-eigenpairs, so slicing columns equals solving with the smaller q.
+their own medians.
+
+The search does each piece of work once for the axes it depends on:
+
+  per bandwidth scale   the kernel, the centered training Gram matrix and
+                        its statistics, the weights and scatter matrices
+                        (classify.prepare_fit), and the centered
+                        validation cross kernel;
+  per (scale, gamma,    one eigensolve at the largest q, and the training
+  alpha, epsilon)       and validation coordinates as products of those
+                        kernels with its projection basis; the solver
+                        returns a descending prefix of eigenpairs, so a
+                        smaller q slices the leading columns;
+  per q width           one neighbor order and the votes of every k
+                        (classify.knn_votes). A q whose slice is as wide as
+                        the previous one (the solve kept fewer components)
+                        sees the same columns and is skipped: only a strict
+                        improvement can win.
+
+A fit that raises one of the package's errors marks its grid point
+failed; any other exception propagates. When some points fail and others
+do not, the repetition carries one warning that counts them.
 
 Execution is sequential and deterministic; nothing in a grid evaluation
 draws randomness, so any future parallel schedule would reproduce the
@@ -35,7 +54,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -46,7 +65,10 @@ from .classify import (
     Method,
     accuracy,
     fit_baseline,
+    fit_prepared,
     knn_predict,
+    knn_votes,
+    prepare_fit,
 )
 from .dataset import (
     LabeledDataset,
@@ -57,7 +79,8 @@ from .dataset import (
     split,
 )
 from .kernel import MEDIAN, KernelError, KernelSpec
-from .solver import ProjectionModel, default_q, project
+from .scatter import ScatterError
+from .solver import ProjectionModel, SolverError, centered_cross_kernel, project, projection_basis
 
 CONFIG_VERSION = 1
 
@@ -153,7 +176,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ChosenParams:
-    """Grid-search winner; axes the method does not use stay None."""
+    """Grid-search winner; axes the method does not use stay None.
+
+    warnings holds at most one line, counting the grid points that failed
+    when others succeeded; it is not part of the chosen parameters.
+    """
 
     bandwidth_scale: float | None = None
     gamma: float | None = None
@@ -162,6 +189,7 @@ class ChosenParams:
     q: int | None = None
     k: int = 1
     validation_accuracy: float = 0.0
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -343,6 +371,60 @@ def _method_axes(tag: str, grids: Grids):
     return scale, gamma, alpha, eps, k
 
 
+# a fit raising one of these marks its grid point failed; anything else propagates
+_FIT_ERRORS = (ClassifyError, KernelError, ScatterError, SolverError)
+_FAILURE = "scale={} gamma={} alpha={} epsilon={}: {}"
+
+
+def _base_bandwidth(kernel: KernelSpec, train: LabeledDataset) -> float:
+    from .kernel import median_bandwidth
+
+    return float(kernel.bandwidth) if kernel.resolved else median_bandwidth(train.features)
+
+
+def _method(tag: str, gamma, alpha, epsilon, q) -> Method:
+    """The Method at a grid point; axes the tag ignores (None) keep their defaults."""
+    return Method(
+        tag,
+        gamma=1.0 if gamma is None else gamma,
+        alpha=1.0 if alpha is None else alpha,
+        epsilon=1e-5 if epsilon is None else epsilon,
+        q=q,
+    )
+
+
+def _fitted_points(train, val, method_tag, axes, q_values, kernel, cross_centering, failures):
+    """Coordinates of every fitted (scale, gamma, alpha, epsilon) point, in grid order.
+
+    Yields the point and [(q, train coordinates, validation coordinates)]
+    for q ascending. A point whose fit fails yields nothing and appends one
+    entry to ``failures``, also when its whole scale failed to prepare.
+    """
+    scales, gammas, alphas, epsilons = axes
+    points = [(g, a, e) for g in gammas for a in alphas for e in epsilons]
+    base_bw = _base_bandwidth(kernel, train)
+    for scale in scales:
+        try:
+            prepared = prepare_fit(method_tag, train, KernelSpec(kernel.family, base_bw * scale))
+        except _FIT_ERRORS as exc:
+            failures.extend(_FAILURE.format(scale, *point, exc) for point in points)
+            continue
+        val_kernel = centered_cross_kernel(
+            prepared.spec, train.features, prepared.centering, val.features, cross_centering
+        )
+        for point in points:
+            try:
+                model = fit_prepared(_method(method_tag, *point, max(q_values)), prepared)
+            except _FIT_ERRORS as exc:
+                failures.append(_FAILURE.format(scale, *point, exc))
+                continue
+            basis = projection_basis(model)
+            # the products project(model, ...) would compute, bit for bit
+            full_train = prepared.Kc.T @ basis
+            full_val = val_kernel.T @ basis
+            yield (scale, *point), [(q, full_train[:, :q], full_val[:, :q]) for q in q_values]
+
+
 def grid_search(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -355,7 +437,10 @@ def grid_search(
 
     One model is fitted per (bandwidth_scale, gamma, alpha, epsilon) at the
     largest requested q; smaller q values reuse its leading columns, which
-    the solver guarantees to be identical to a direct smaller-q fit.
+    the solver guarantees to be identical to a direct smaller-q fit. A
+    point whose fit raises one of the package's errors is skipped; when
+    some points fail and others do not, the winner carries a warning that
+    counts the failures.
     """
     if method_tag not in METHOD_TAGS:
         raise HarnessError(f"unknown method {method_tag!r}")
@@ -363,77 +448,35 @@ def grid_search(
         raise HarnessError("grid search needs non-empty train and validation data")
 
     scales, gammas, alphas, epsilons, ks = _method_axes(method_tag, grids)
-    q_values = grids.resolve_q(train.n, len(train.class_ids), len(train.domain_ids))
-    if method_tag == "raw_knn":
-        q_values = (None,)
-    q_max = None if q_values == (None,) else max(q_values)
-
-    best: ChosenParams | None = None
+    ks = tuple(k for k in ks if k <= train.n)
     failures: list[str] = []
-
-    from .kernel import median_bandwidth
-
-    base_bw = None
-    if method_tag != "raw_knn":
-        base_bw = (
-            float(kernel.bandwidth)
-            if kernel.resolved
-            else median_bandwidth(train.features)
+    if method_tag == "raw_knn":
+        fitted = [((None, None, None, None), [(None, train.features, val.features)])]
+    else:
+        q_values = grids.resolve_q(train.n, len(train.class_ids), len(train.domain_ids))
+        fitted = _fitted_points(
+            train, val, method_tag, (scales, gammas, alphas, epsilons), q_values,
+            kernel, cross_centering, failures,
         )
 
-    for scale in scales:
-        spec = kernel if scale is None else KernelSpec(kernel.family, base_bw * scale)
-        for gamma in gammas:
-            for alpha in alphas:
-                for epsilon in epsilons:
-                    if method_tag == "raw_knn":
-                        model = None
-                        train_proj = train.features
-                        val_proj = val.features
-                        models_by_q = {None: (train_proj, val_proj)}
-                    else:
-                        method = Method(
-                            method_tag,
-                            gamma=1.0 if gamma is None else gamma,
-                            alpha=1.0 if alpha is None else alpha,
-                            epsilon=1e-5 if epsilon is None else epsilon,
-                            q=q_max,
-                        )
-                        try:
-                            model = fit_baseline(method, train, spec)
-                        except (ClassifyError, KernelError, ValueError) as exc:
-                            failures.append(
-                                f"scale={scale} gamma={gamma} alpha={alpha} "
-                                f"epsilon={epsilon}: {exc}"
-                            )
-                            continue
-                        full_train = project(model, train.features, mode="paper")
-                        full_val = project(model, val.features, mode=cross_centering)
-                        models_by_q = {
-                            q: (full_train[:, :q], full_val[:, :q]) for q in q_values
-                        }
-                    for q in q_values:
-                        train_proj, val_proj = models_by_q[q]
-                        for k in ks:
-                            if k > train.n:
-                                continue
-                            acc = accuracy(
-                                knn_predict(train_proj, train.labels, val_proj, k),
-                                val.labels,
-                            )
-                            if best is None or acc > best.validation_accuracy:
-                                best = ChosenParams(
-                                    bandwidth_scale=scale,
-                                    gamma=gamma,
-                                    alpha=alpha,
-                                    epsilon=epsilon,
-                                    q=None if model is None else q,
-                                    k=k,
-                                    validation_accuracy=acc,
-                                )
+    best: ChosenParams | None = None
+    for (scale, gamma, alpha, epsilon), slices in fitted:
+        width = None
+        for q, train_proj, val_proj in slices:
+            if not ks or train_proj.shape[1] == width:
+                continue  # same columns as the previous q: equal accuracy, never a strict win
+            width = train_proj.shape[1]
+            for k, predicted in zip(ks, knn_votes(train_proj, train.labels, val_proj, ks)):
+                acc = accuracy(predicted, val.labels)
+                if best is None or acc > best.validation_accuracy:
+                    best = ChosenParams(scale, gamma, alpha, epsilon, q, k, acc)
     if best is None:
         detail = "; ".join(failures[:5]) if failures else "no evaluable grid points"
         raise HarnessError(f"all grid points failed for {method_tag}: {detail}")
+    if failures:
+        total = len(scales) * len(gammas) * len(alphas) * len(epsilons)
+        note = f"grid search: {len(failures)} of {total} points failed; first: {failures[0]}"
+        best = replace(best, warnings=(note,))
     return best
 
 
@@ -446,21 +489,8 @@ def _fit_chosen(
     """Refit the selected parameters on a training set (fresh median)."""
     if method_tag == "raw_knn":
         return None
-    from .kernel import median_bandwidth
-
-    base_bw = (
-        float(kernel.bandwidth)
-        if kernel.resolved
-        else median_bandwidth(train.features)
-    )
-    spec = KernelSpec(kernel.family, base_bw * chosen.bandwidth_scale)
-    method = Method(
-        method_tag,
-        gamma=1.0 if chosen.gamma is None else chosen.gamma,
-        alpha=1.0 if chosen.alpha is None else chosen.alpha,
-        epsilon=1e-5 if chosen.epsilon is None else chosen.epsilon,
-        q=chosen.q,
-    )
+    spec = KernelSpec(kernel.family, _base_bandwidth(kernel, train) * chosen.bandwidth_scale)
+    method = _method(method_tag, chosen.gamma, chosen.alpha, chosen.epsilon, chosen.q)
     return fit_baseline(method, train, spec)
 
 
@@ -497,16 +527,16 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
                 cross_centering=config.cross_centering,
             )
             model = _fit_chosen(tag, chosen, train, config.kernel)
+            warnings = split_warnings + chosen.warnings
             if model is None:
                 train_proj = train.features
                 target_proj = target.features
-                warnings = split_warnings
             else:
                 train_proj = project(model, train.features, mode="paper")
                 target_proj = project(
                     model, target.features, mode=config.cross_centering
                 )
-                warnings = split_warnings + model.warnings
+                warnings += model.warnings
             acc = accuracy(
                 knn_predict(train_proj, train.labels, target_proj, chosen.k),
                 target.labels,

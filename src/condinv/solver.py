@@ -232,6 +232,29 @@ def projection_basis(model: ProjectionModel) -> np.ndarray:
     return model.coefficients / np.sqrt(model.eigenvalues)[None, :]
 
 
+def centered_cross_kernel(
+    spec: KernelSpec,
+    training_features: np.ndarray,
+    centering: CenteringStats,
+    new_features: np.ndarray,
+    mode: str = "paper",
+) -> np.ndarray:
+    """Kernel between the training samples and new_features, centered per mode.
+
+    The n x n_new result maps to features via .T @ projection_basis(model);
+    see center_cross_from_stats for the two modes.
+    """
+    x = np.asarray(new_features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != training_features.shape[1]:
+        raise SolverError(
+            f"new features must be 2-D with {training_features.shape[1]} columns, "
+            f"got {x.shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise SolverError("new features contain non-finite values")
+    return center_cross_from_stats(gram(training_features, x, spec), centering, mode)
+
+
 def project(model: ProjectionModel, new_features: np.ndarray, mode: str = "paper") -> np.ndarray:
     """Map new samples into the learned space.
 
@@ -244,16 +267,9 @@ def project(model: ProjectionModel, new_features: np.ndarray, mode: str = "paper
             "model carries no kernel context; fit it through the classify layer "
             "or pass kernel_spec/training_features/centering to solve"
         )
-    x = np.asarray(new_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.training_features.shape[1]:
-        raise SolverError(
-            f"new features must be 2-D with {model.training_features.shape[1]} columns, "
-            f"got {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise SolverError("new features contain non-finite values")
-    Kt = gram(model.training_features, x, model.kernel_spec)
-    Ktc = center_cross_from_stats(Kt, model.centering, mode)
+    Ktc = centered_cross_kernel(
+        model.kernel_spec, model.training_features, model.centering, new_features, mode
+    )
     return Ktc.T @ projection_basis(model)
 
 

@@ -9,6 +9,7 @@ built from K = X Xᵀ must equal X S_explicit Xᵀ.
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def rbf_elementwise(a, b, sigma):
@@ -168,3 +169,32 @@ def knn_brute(train_x, train_y, test_x, k):
         best = sorted(votes, key=lambda c: (-votes[c], sums[c], c))[0]
         preds.append(best)
     return np.array(preds)
+
+
+def knn_loop(train_feats, train_labels, test_feats, k):
+    """The original per-row KNN loop: full stable sort, dictionary votes.
+
+    Same tie rules as knn_brute; the distance sums are running Python float
+    sums in neighbor order, which the vectorized head must reproduce bit for
+    bit.
+    """
+    train = np.asarray(train_feats, dtype=np.float64)
+    labels = np.asarray(train_labels, dtype=np.int64)
+    test = np.asarray(test_feats, dtype=np.float64)
+    dists = cdist(test, train)
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    out = np.empty(test.shape[0], dtype=np.int64)
+    for i in range(test.shape[0]):
+        votes: dict[int, int] = {}
+        sums: dict[int, float] = {}
+        for idx in nearest[i]:
+            c = int(labels[idx])
+            votes[c] = votes.get(c, 0) + 1
+            sums[c] = sums.get(c, 0.0) + float(dists[i, idx])
+        best = max(votes.values())
+        tied = [c for c, v in votes.items() if v == best]
+        if len(tied) > 1:
+            low = min(sums[c] for c in tied)
+            tied = [c for c in tied if sums[c] == low]
+        out[i] = min(tied)
+    return out

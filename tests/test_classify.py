@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import condinv as ci
-from condinv.classify import ClassifyError
+from condinv.classify import ClassifyError, fit_prepared, knn_votes, prepare_fit
 from condinv.scatter import ScatterSet
 from condinv.solver import projection_basis
 import oracles
@@ -28,6 +31,18 @@ class TestMethod:
 
     def test_tags_tuple(self):
         assert ci.METHOD_TAGS == ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
+
+
+@st.composite
+def lattice_knn_cases(draw):
+    """(train, labels, test) on a small integer lattice in 1 or 2 dimensions."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    points = st.integers(-2, 2)
+    train = draw(arrays(np.int64, (n, d), elements=points)).astype(float)
+    labels = draw(arrays(np.int64, n, elements=st.integers(1, 3)))
+    test = draw(arrays(np.int64, (draw(st.integers(1, 6)), d), elements=points)).astype(float)
+    return train, labels, test
 
 
 class TestKnnPredict:
@@ -76,6 +91,25 @@ class TestKnnPredict:
         a = ci.knn_predict(train, labels, test, 3)
         b = ci.knn_predict(train @ R.T + shift, labels, test @ R.T + shift, 3)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_knn_cases())
+    # the nearest neighbor of 0 ties at distance 1 between rows 0 and 1, and
+    # the next two tie at distance 2 between rows 2, 3 and 4
+    @example((np.array([[1.0], [-1.0], [2.0], [-2.0], [2.0]]),
+              np.array([2, 1, 1, 2, 3]), np.array([[0.0]])))
+    def test_matches_loop_on_lattice_ties(self, case):
+        # integer-lattice points make distance ties common, including ties
+        # straddling the k-th distance, where the partial sort must fall
+        # back to the full stable order
+        train, labels, test = case
+        n = len(train)
+        want = np.array([oracles.knn_loop(train, labels, test, k) for k in range(1, n + 1)])
+        for k in range(1, n + 1):
+            assert np.array_equal(ci.knn_predict(train, labels, test, k), want[k - 1])
+        ks = np.arange(1, n + 1)
+        assert np.array_equal(knn_votes(train, labels, test, ks), want)
+        assert np.array_equal(knn_votes(train, labels, test, ks[::-1]), want[::-1])
 
     def test_input_validation(self, rng):
         train = rng.normal(size=(5, 2))
@@ -226,6 +260,28 @@ class TestFitBaseline:
             ci.fit_baseline(ci.Method("cidg", q=2), data, spec)
         model = ci.fit_baseline(ci.Method("cidg", q=2), data, spec, lenient=True)
         assert any("no class" in w for w in model.warnings)
+
+    @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
+    def test_one_preparation_serves_every_point(self, make_dataset, tag):
+        # a PreparedFit is reused across a grid: each point solved from it
+        # must equal a fresh fit, and Kc.T @ basis must equal the projection
+        # of the training rows bit for bit
+        data = make_dataset(n=18, domain_shift=0.4)
+        spec = ci.KernelSpec(bandwidth=1.2)
+        prepared = prepare_fit(tag, data, spec)
+        for gamma, alpha, eps, q in ((0.1, 2.0, 1e-5, 4), (5.0, 0.3, 1e-3, 2)):
+            method = ci.Method(tag, gamma=gamma, alpha=alpha, epsilon=eps, q=q)
+            shared = fit_prepared(method, prepared)
+            fresh = ci.fit_baseline(method, data, spec)
+            assert np.array_equal(shared.coefficients, fresh.coefficients)
+            assert np.array_equal(shared.eigenvalues, fresh.eigenvalues)
+            assert shared.warnings == fresh.warnings
+            assert np.array_equal(
+                prepared.Kc.T @ projection_basis(shared),
+                ci.project(shared, data.features, mode="paper"),
+            )
+        with pytest.raises(ClassifyError, match="cannot fit"):
+            fit_prepared(ci.Method("raw_knn" if tag == "kpca" else "kpca"), prepared)
 
     def test_sign_flip_of_features_keeps_predictions(self, rng):
         # mirroring the input space is an isometry: fitted projections can

@@ -1,6 +1,8 @@
 """CLI subcommands, exercised in-process through main()."""
 
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ import yaml
 import condinv as ci
 from condinv.cli import main
 
+QUICK_CONFIG = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "quick.yaml"
+)
 
 SPEC_TEXT = """\
 version: 1
@@ -106,6 +111,13 @@ class TestRun:
         main(["run", "--config", str(config), "--out-dir", str(d2)])
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "report.txt").read_bytes() == (d2 / "report.txt").read_bytes()
+
+    def test_quick_report_is_pinned(self, tmp_path):
+        # the bundled quick run's report must not change by a byte across
+        # refactors; a deliberate change updates this digest and says why
+        assert main(["run", "--config", QUICK_CONFIG, "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "7cf08b4df1ed71feced9a249996b41a2"
 
     def test_save_models(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,5 +1,7 @@
 """Experiment orchestration: configs, grid search, protocol, reports."""
 
+import json
+
 import numpy as np
 import pytest
 import yaml
@@ -258,9 +260,12 @@ class TestGridSearch:
         assert chosen.gamma == 0.3 and chosen.alpha == 0.7
         assert chosen.epsilon == 1e-4 and chosen.q == 2 and chosen.k == 3
 
-    def test_matches_exhaustive_oracle(self):
+    @pytest.mark.parametrize("centering", ["paper", "standard"])
+    @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
+    def test_matches_exhaustive_oracle(self, tag, centering):
         # independent re-evaluation of every grid point, fitting each q
-        # directly instead of slicing a shared q_max solve
+        # directly through fit_baseline -> project -> knn_predict instead of
+        # slicing a shared q_max solve on shared per-bandwidth work
         train, val, fit_part = self.parts()
         grids = ci.Grids(
             bandwidth_scale=(0.75, 1.5),
@@ -270,24 +275,28 @@ class TestGridSearch:
             q=(2, 4),
             k=(1, 3),
         )
-        chosen = ci.grid_search(fit_part, val, "cidg", grids, cross_centering="paper")
+        chosen = ci.grid_search(fit_part, val, tag, grids, cross_centering=centering)
         base = ci.median_bandwidth(fit_part.features)
         q_values = grids.resolve_q(fit_part.n, len(fit_part.class_ids), len(fit_part.domain_ids))
+        scales, gammas, alphas, epsilons, ks = _method_axes(tag, grids)
         best = None
-        for scale in (0.75, 1.5):
+        for scale in scales:
             spec = ci.KernelSpec("rbf", base * scale)
-            for gamma in (0.1, 1.0):
-                for alpha in (0.5,):
-                    for eps in (1e-5,):
+            for gamma in gammas:
+                for alpha in alphas:
+                    for eps in epsilons:
                         for q in q_values:
-                            model = ci.fit_baseline(
-                                ci.Method("cidg", gamma=gamma, alpha=alpha, epsilon=eps, q=q),
-                                fit_part,
-                                spec,
+                            method = ci.Method(
+                                tag,
+                                gamma=1.0 if gamma is None else gamma,
+                                alpha=1.0 if alpha is None else alpha,
+                                epsilon=1e-5 if eps is None else eps,
+                                q=q,
                             )
+                            model = ci.fit_baseline(method, fit_part, spec)
                             tp = ci.project(model, fit_part.features, mode="paper")
-                            vp = ci.project(model, val.features, mode="paper")
-                            for k in (1, 3):
+                            vp = ci.project(model, val.features, mode=centering)
+                            for k in ks:
                                 acc = ci.accuracy(
                                     ci.knn_predict(tp, fit_part.labels, vp, k), val.labels
                                 )
@@ -301,6 +310,7 @@ class TestGridSearch:
         assert chosen.q == best[4]
         assert chosen.k == best[5]
         assert chosen.validation_accuracy == pytest.approx(best[6])
+        assert chosen.warnings == ()
 
     def test_saturated_grid_picks_first_point(self, rng):
         # classes far apart: every grid point validates at 1.0, so the
@@ -325,15 +335,55 @@ class TestGridSearch:
 
     def test_all_points_failing_raises(self, rng):
         # a training side with a class missing from one domain breaks every
-        # strict fit, so the search reports the collected failures
+        # strict fit, so the search reports the collected failures: one per
+        # (scale, gamma, alpha, epsilon) point, although the weights fail
+        # once per scale, before any solve
         feats = rng.normal(size=(12, 2))
         labels = np.array([1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2])
         domains = np.array([1, 1, 1, 2, 2, 2, 1, 1, 1, 1, 1, 1])
         train = ci.LabeledDataset(feats, labels, domains)
         val = ci.LabeledDataset(rng.normal(size=(4, 2)), np.array([1, 1, 2, 2]), np.ones(4, int))
-        grids = ci.Grids(bandwidth_scale=(1.0,), gamma=(1.0,), alpha=(1.0,), k=(1,))
-        with pytest.raises(HarnessError, match="all grid points failed"):
+        grids = ci.Grids(bandwidth_scale=(1.0, 2.0), gamma=(0.1, 1.0), alpha=(1.0,), k=(1,))
+        with pytest.raises(HarnessError, match="all grid points failed") as info:
             ci.grid_search(train, val, "cidg", grids)
+        assert str(info.value).count("scale=") == 4
+        assert str(info.value).count("classes missing from some domains") == 4
+
+    def test_partial_failures_warn_once(self):
+        # at a bandwidth a billion times the median every kernel entry
+        # rounds to 1, the centered Gram matrix is exactly zero and each
+        # solve fails; the scale that fits still wins, and the repetition
+        # carries one warning counting the failed points
+        grids = ci.Grids(
+            bandwidth_scale=(1.0, 1e9), gamma=(0.1, 1.0), alpha=(1.0,), q=(2,), k=(1,)
+        )
+        train, val, fit_part = self.parts()
+        chosen = ci.grid_search(fit_part, val, "cidg", grids)
+        assert chosen.bandwidth_scale == 1.0
+        assert len(chosen.warnings) == 1
+        assert chosen.warnings[0].startswith(
+            "grid search: 2 of 4 points failed; first: scale=1000000000.0 gamma=0.1 "
+            "alpha=1.0 epsilon=1e-05: no positive eigenvalues"
+        )
+        record = ci.run_experiment(small_config(methods=("cidg",), repetitions=1, grids=grids))
+        rep = record.methods[0].repetitions[0]
+        assert [w for w in rep.warnings if w.startswith("grid search:")] == list(chosen.warnings)
+        tree = json.loads(ci.report_json(record))
+        assert chosen.warnings[0] in tree["methods"][0]["repetitions"][0]["warnings"]
+
+    def test_programming_error_is_not_a_failed_point(self, monkeypatch):
+        # only the package's own error types count as failed grid points;
+        # a bare ValueError from inside a fit must surface unchanged
+        import condinv.classify
+
+        def broken_solve(*args, **kwargs):
+            raise ValueError("bug inside the solver")
+
+        monkeypatch.setattr(condinv.classify, "solve", broken_solve)
+        train, val, fit_part = self.parts()
+        with pytest.raises(ValueError, match="bug inside the solver") as info:
+            ci.grid_search(fit_part, val, "cidg", ci.Grids(bandwidth_scale=(1.0,), k=(1,)))
+        assert info.type is ValueError
 
     def test_unknown_method(self):
         train, val, fit_part = self.parts()
