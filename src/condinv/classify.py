@@ -39,7 +39,7 @@ from .scatter import (
     uniform_domain_weights,
     within_scatter,
 )
-from .solver import ProjectionModel, SolverConfig, SolverError, _canonical_signs, default_q, solve
+from .solver import ProjectionModel, SolverConfig, _truncate, default_q, solve
 
 METHOD_TAGS = ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
 
@@ -170,22 +170,16 @@ def _kpca_model(
 ) -> ProjectionModel:
     import scipy.linalg
 
-    lam, vecs = scipy.linalg.eigh(Kc)
-    order = np.argsort(-lam, kind="stable")[:q]
-    lam = lam[order]
-    vecs = vecs[:, order]
-    if lam.size == 0 or lam[0] <= 0:
-        raise SolverError("centered Gram matrix has no positive eigenvalues")
-    keep = (lam > 0) & (lam >= eig_tolerance * lam[0])
-    warnings: tuple[str, ...] = ()
-    if keep.sum() < q:
-        warnings = (
-            f"requested q={q} but only {int(keep.sum())} eigenvalues "
-            "are positive above tolerance; truncated",
-        )
+    n = Kc.shape[0]
+    lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
+    order = np.argsort(-lam, kind="stable")
+    lam, vecs, warnings = _truncate(
+        lam[order], vecs[:, order], q, eig_tolerance,
+        "centered Gram matrix has no positive eigenvalues",
+    )
     return ProjectionModel(
-        coefficients=_canonical_signs(vecs[:, keep]),
-        eigenvalues=lam[keep],
+        coefficients=vecs,
+        eigenvalues=lam,
         gamma=0.0,
         alpha=0.0,
         effective_epsilon=0.0,
@@ -250,7 +244,7 @@ def prepare_fit(
         scatters = ScatterSet(
             conditional=np.zeros((train.n, train.n)),
             prior=domain_scatter(Kc, vectors, mean),
-            between=between_scatter(Kc, weights),
+            between_factor=between_scatter(Kc, weights),
             within=within_scatter(Kc, weights),
         )
     else:

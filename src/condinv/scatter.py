@@ -4,7 +4,8 @@ Every empirical mean embedding used here is a weighted sum of training
 feature maps, so it is fully described by a length-n weight vector; a
 difference of two means maps to K @ (difference of weight vectors). The
 four scatter matrices are therefore built as sums of K v v' K outer
-products and never materialize the feature map:
+products and never materialize the feature map (the between-class one
+is kept as its n x C factor):
 
   conditional  - spread of per-domain class-conditional means around the
                  cross-domain mean of each class, averaged over domains
@@ -221,44 +222,52 @@ def prior_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
 
 
 def between_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
-    """Class-count-weighted spread of pooled class means around the overall mean."""
+    """n x C factor F of the between-class scatter F @ F.T.
+
+    Column j, K (class_total_j - uniform) sqrt(n_j), is pooled class j's
+    mean offset; F @ sqrt(counts) = 0, so the scatter has rank <= C - 1.
+    """
     K = _check_k(K, w.n)
     classes = sorted(w.class_total)
     diffs = np.stack([w.class_total[j] - w.uniform for j in classes], axis=1)
     counts = np.array([float(np.count_nonzero(w.class_total[j])) for j in classes])
-    G = K @ diffs
-    return _symmetrize((G * counts[None, :]) @ G.T)
+    return (K @ diffs) * np.sqrt(counts)[None, :]
 
 
 def within_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
     """Total deviation of samples from their pooled class means: K M K.
 
     M is the identity minus the block-diagonal class-averaging matrix
-    (1/n_j on each class-j block).
+    (1/n_j on each class-j block). M is symmetric and idempotent, so
+    K M K = (K M)(K M)', where K M is K less each class's mean column.
     """
     K = _check_k(K, w.n)
-    M = np.eye(w.n)
-    for j, cj in w.class_total.items():
+    KM = K.copy()
+    for cj in w.class_total.values():
         idx = np.flatnonzero(cj)
-        M[np.ix_(idx, idx)] -= 1.0 / idx.size
-    return _symmetrize(K @ M @ K)
+        KM[:, idx] -= K[:, idx].mean(axis=1, keepdims=True)
+    return _symmetrize(KM @ KM.T)
 
 
 @dataclass(frozen=True)
 class ScatterSet:
-    """The four scatter matrices used by the eigensolver."""
+    """The scatters used by the eigensolver; between is F @ F.T of its factor."""
 
     conditional: np.ndarray
     prior: np.ndarray
-    between: np.ndarray
+    between_factor: np.ndarray
     within: np.ndarray
+
+    @property
+    def between(self) -> np.ndarray:
+        return self.between_factor @ self.between_factor.T
 
 
 def scatter_set(K: np.ndarray, w: WeightSet) -> ScatterSet:
-    """Build all four scatter matrices from one centered Gram matrix."""
+    """Build all four scatters from one centered Gram matrix."""
     return ScatterSet(
         conditional=conditional_scatter(K, w),
         prior=prior_scatter(K, w),
-        between=between_scatter(K, w),
+        between_factor=between_scatter(K, w),
         within=within_scatter(K, w),
     )

@@ -5,11 +5,15 @@ sum of the invariance scatters and the within-class scatter,
 
     between @ B = (gamma * conditional + alpha * prior + within + eps I) B Lambda,
 
-a symmetric-definite pencil: the right-hand matrix is positive definite
-once the eps ridge is added, so the problem reduces via its Cholesky
-factor to a standard symmetric eigenproblem (scipy.linalg.eigh does the
-reduction and back-transform). Eigenvectors come back normalized so that
-B' D B = I, matching the trace constraint of the underlying Lagrangian.
+a symmetric-definite pencil: D, the right-hand matrix, is positive
+definite once the eps ridge is added. between = F F' for the n x C factor
+F of scatter.between_scatter, of rank at most C - 1 (the count-weighted
+class-mean offsets sum to zero), so the pencil has at most C - 1 positive
+eigenvalues. With the Cholesky factor D = L L' and the thin SVD
+L^{-1} F = U Sigma V', they are Sigma^2 and the eigenvectors are
+B = L^{-T} U (back-substitution), so B' D B = U' U = I by construction,
+the trace constraint of the underlying Lagrangian. A fit costs one n^3/3
+factorization plus O(n^2 C), not a dense generalized eigendecomposition.
 
 The configured eps is relative: the ridge actually added is
 eps * mean(diag(within)), falling back to eps alone when the within
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernel import CenteringStats, KernelError, KernelSpec, center_cross_from_stats, gram
+from .kernel import CenteringStats, KernelSpec, center_cross_from_stats, gram
 from .scatter import ScatterSet
 
 
@@ -124,11 +128,25 @@ class ProjectionModel:
         return int(self.coefficients.shape[0])
 
 
-def _canonical_signs(vecs: np.ndarray) -> np.ndarray:
-    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
-    out = vecs.copy()
-    out[:, flip] *= -1.0
-    return out
+def _truncate(lam, vecs, q, eig_tolerance, empty_message):
+    """Keep the eigenpairs above eig_tolerance relative to the largest.
+
+    lam is descending and at most q long. Returns the kept eigenvalues,
+    their vectors with each largest-magnitude entry made positive, and the
+    truncation warning, if any.
+    """
+    if lam.size == 0 or lam[0] <= 0:
+        raise SolverError(empty_message)
+    keep = (lam > 0) & (lam >= eig_tolerance * lam[0])
+    warnings: tuple[str, ...] = ()
+    if keep.sum() < q:
+        warnings = (
+            f"requested q={q} but only {int(keep.sum())} eigenvalues "
+            "are positive above tolerance; truncated",
+        )
+    vecs = vecs[:, keep]
+    vecs[:, vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0] *= -1.0
+    return lam[keep], vecs, warnings
 
 
 def solve(
@@ -145,8 +163,8 @@ def solve(
     dropped with a recorded warning. The optional kernel context is
     attached verbatim so fitted models can project new samples.
     """
-    P = scatters.between
-    n = P.shape[0]
+    F = scatters.between_factor
+    n = F.shape[0]
     if config.q is None:
         raise SolverError(
             "SolverConfig.q is unset; pass a concrete dimension "
@@ -154,7 +172,7 @@ def solve(
         )
     if config.q > n:
         raise SolverError(f"q={config.q} exceeds the number of training samples n={n}")
-    if not all(
+    if F.ndim != 2 or not all(
         m.shape == (n, n) for m in (scatters.conditional, scatters.prior, scatters.within)
     ):
         raise SolverError("scatter matrices have inconsistent shapes")
@@ -168,31 +186,24 @@ def solve(
         + eff_eps * np.eye(n)
     )
     try:
-        lam, vecs = scipy.linalg.eigh(P, D)
+        L = scipy.linalg.cholesky(D, lower=True)
+        U, sigma, _ = scipy.linalg.svd(
+            scipy.linalg.solve_triangular(L, F, lower=True), full_matrices=False
+        )
+        vecs = scipy.linalg.solve_triangular(L, U[:, : config.q], lower=True, trans="T")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"generalized eigensolve failed: {exc}") from None
-
-    order = np.argsort(-lam, kind="stable")[: config.q]
-    lam = lam[order]
-    vecs = vecs[:, order]
-    top = lam[0] if lam.size else 0.0
-    if top <= 0:
-        raise SolverError("no positive eigenvalues: the between-class scatter is zero")
-    keep = (lam > 0) & (lam >= config.eig_tolerance * top)
-    warnings: tuple[str, ...] = ()
-    if keep.sum() < config.q:
-        warnings = (
-            f"requested q={config.q} but only {int(keep.sum())} eigenvalues "
-            "are positive above tolerance; truncated",
-        )
-    lam = lam[keep]
-    vecs = _canonical_signs(vecs[:, keep])
+    # singular values come back descending
+    lam, vecs, warnings = _truncate(
+        sigma[: config.q] ** 2, vecs, config.q, config.eig_tolerance,
+        "no positive eigenvalues: the between-class scatter is zero",
+    )
 
     # Residual screen. Eigenvalues just above the relative tolerance can
     # still be pure null-space noise of the (low-rank) numerator; such
     # pairs fail the residual bound and carry no signal, so the component
     # list is cut at the first failure rather than returned unreliable.
-    PB = P @ vecs
+    PB = F @ (F.T @ vecs)
     DB = D @ vecs
     res = np.linalg.norm(PB - DB * lam[None, :], axis=0)
     bound = _RESIDUAL_REL * np.maximum(np.linalg.norm(PB, axis=0), _RESIDUAL_FLOOR)
@@ -365,6 +376,7 @@ def load_model(path) -> ProjectionModel:
             raise SolverError(f"{path}: unsupported model version {version}")
         if family not in _FAMILY_NAMES:
             raise SolverError(f"{path}: unknown kernel family code {family}")
+        spec = KernelSpec(_FAMILY_NAMES[family], bw)  # KernelError is a ValueError
         (n_warn,) = struct.unpack_from("<I", blob, off)
         off += 4
         warnings = []
@@ -373,31 +385,30 @@ def load_model(path) -> ProjectionModel:
             off += 4
             warnings.append(blob[off : off + length].decode("utf-8"))
             off += length
-
-        def block(count):
-            nonlocal off
-            out = np.frombuffer(blob, dtype="<f8", count=count, offset=off).astype(np.float64)
-            off += 8 * count
-            return out
-
-        lam = block(q)
-        coef = block(n * q).reshape(n, q)
-        feats = block(n * d).reshape(n, d)
-        row_means = block(n)
     except (struct.error, ValueError) as exc:
         raise SolverError(f"{path}: truncated or corrupt model file ({exc})") from None
-    if off != len(blob):
-        raise SolverError(f"{path}: {len(blob) - off} unexpected trailing bytes")
+    # header counts are untrusted u64s: check them against the bytes present
+    # before any array is sized from them
+    size = 8 * (q + n * q + n * d + n)
+    if n < 1 or off + size > len(blob):
+        raise SolverError(
+            f"{path}: truncated or corrupt model file (n={n}, d={d}, q={q} need "
+            f"{size} array bytes, {len(blob) - off} present)"
+        )
+    if off + size < len(blob):
+        raise SolverError(f"{path}: {len(blob) - off - size} unexpected trailing bytes")
+    arrays = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
+    lam, coef, feats, row_means = np.split(arrays, np.cumsum([q, n * q, n * d]))
     row_means.flags.writeable = False
     return ProjectionModel(
-        coefficients=coef,
+        coefficients=coef.reshape(n, q),
         eigenvalues=lam,
         gamma=gamma,
         alpha=alpha,
         effective_epsilon=eff_eps,
         requested_q=int(req_q),
         warnings=tuple(warnings),
-        kernel_spec=KernelSpec(_FAMILY_NAMES[family], bw),
-        training_features=feats,
+        kernel_spec=spec,
+        training_features=feats.reshape(n, d),
         centering=CenteringStats(n=int(n), row_means=row_means, grand_mean=grand),
     )

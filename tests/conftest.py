@@ -1,9 +1,17 @@
 """Shared fixtures and the acceptance-criteria terminal summary."""
 
-import numpy as np
-import pytest
+import os
 
-import condinv as ci
+# BLAS on one thread unless the caller says otherwise: the suite's matrices
+# are small, and extra threads make it slower on a shared host. Set before
+# numpy loads, since OpenBLAS reads these only at start-up.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import condinv as ci  # noqa: E402
 
 
 @pytest.fixture

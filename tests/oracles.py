@@ -9,6 +9,7 @@ built from K = X Xᵀ must equal X S_explicit Xᵀ.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.spatial.distance import cdist
 
 
@@ -198,3 +199,53 @@ def knn_loop(train_feats, train_labels, test_feats, k):
             tied = [c for c in tied if sums[c] == low]
         out[i] = min(tied)
     return out
+
+
+def pencil_eig_dense(scatters, config):
+    """The dense generalized eigensolve the factored solver replaced.
+
+    Builds D and P = between from the ScatterSet, runs the full
+    scipy.linalg.eigh(P, D), and applies the same descending sort,
+    relative tolerance, sign rule and residual screen. Returns
+    (eigenvalues, coefficients, warnings).
+    """
+    P = scatters.between
+    n = P.shape[0]
+    scale = float(np.mean(np.diag(scatters.within)))
+    eff_eps = config.epsilon * (scale if scale > 0 else 1.0)
+    D = (
+        config.gamma * scatters.conditional
+        + config.alpha * scatters.prior
+        + scatters.within
+        + eff_eps * np.eye(n)
+    )
+    lam, vecs = scipy.linalg.eigh(P, D)
+
+    order = np.argsort(-lam, kind="stable")[: config.q]
+    lam = lam[order]
+    vecs = vecs[:, order]
+    keep = (lam > 0) & (lam >= config.eig_tolerance * lam[0])
+    warnings = ()
+    if keep.sum() < config.q:
+        warnings = (
+            f"requested q={config.q} but only {int(keep.sum())} eigenvalues "
+            "are positive above tolerance; truncated",
+        )
+    lam = lam[keep]
+    vecs = vecs[:, keep]
+    flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] *= -1.0
+
+    PB = P @ vecs
+    DB = D @ vecs
+    res = np.linalg.norm(PB - DB * lam[None, :], axis=0)
+    bound = 1e-6 * np.maximum(np.linalg.norm(PB, axis=0), 1e-12)
+    bad = np.flatnonzero(res > bound)
+    if bad.size:
+        cut = int(bad[0])
+        warnings = warnings + (
+            f"eigenpairs from index {cut} fail the residual bound and were dropped",
+        )
+        lam = lam[:cut]
+        vecs = vecs[:, :cut]
+    return lam, vecs, warnings

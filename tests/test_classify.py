@@ -162,8 +162,12 @@ class TestFitBaseline:
         model = ci.fit_baseline(ci.Method("kpca", q=3), data, spec)
         K = ci.gram(data.features, data.features, spec)
         Kc = ci.center_train(K)
-        lam = np.linalg.eigvalsh(Kc)[::-1][:3]
-        assert np.allclose(model.eigenvalues, lam, rtol=1e-10)
+        lam, vecs = np.linalg.eigh(Kc)
+        assert np.allclose(model.eigenvalues, lam[::-1][:3], rtol=1e-10)
+        # the top-q solve returns the full decomposition's leading vectors
+        top = vecs[:, ::-1][:, :3]
+        top = top * np.sign(top[np.argmax(np.abs(top), axis=0), np.arange(3)])
+        assert np.allclose(model.coefficients, top, atol=1e-8)
         # projecting the training data recovers the usual KPCA coordinates
         got = ci.project(model, data.features, mode="paper")
         want = Kc @ projection_basis(model)
@@ -196,7 +200,8 @@ class TestFitBaseline:
         K = ci.gram(data.features, data.features, spec)
         Kc = ci.center_train(K)
         w = ci.build_weights(ci.group_index(data))
-        P = ci.between_scatter(Kc, w)
+        F = ci.between_scatter(Kc, w)
+        P = F @ F.T
         Q = ci.within_scatter(Kc, w)
         D = Q + model.effective_epsilon * np.eye(data.n)
         B, lam = model.coefficients, model.eigenvalues
@@ -232,7 +237,7 @@ class TestFitBaseline:
             ScatterSet(
                 conditional=np.zeros((data.n, data.n)),
                 prior=ci.prior_scatter(Kc, w),
-                between=ci.between_scatter(Kc, w),
+                between_factor=ci.between_scatter(Kc, w),
                 within=ci.within_scatter(Kc, w),
             ),
             ci.SolverConfig(gamma=0.0, alpha=1.0, epsilon=1e-4, q=3),

@@ -136,7 +136,8 @@ class TestScatterOracles:
         for data in self.params():
             Kc = linear_centered_gram(data)
             w = ci.build_weights(ci.group_index(data))
-            got = ci.between_scatter(Kc, w)
+            F = ci.between_scatter(Kc, w)
+            got = F @ F.T
             xc = centered(data.features)
             want = oracles.lift(xc, oracles.between_scatter_explicit(xc, data.labels))
             assert np.allclose(got, want, atol=1e-10)
@@ -157,7 +158,7 @@ class TestScatterOracles:
         ss = ci.scatter_set(Kc, w)
         assert np.array_equal(ss.conditional, ci.conditional_scatter(Kc, w))
         assert np.array_equal(ss.prior, ci.prior_scatter(Kc, w))
-        assert np.array_equal(ss.between, ci.between_scatter(Kc, w))
+        assert np.array_equal(ss.between_factor, ci.between_scatter(Kc, w))
         assert np.array_equal(ss.within, ci.within_scatter(Kc, w))
 
 
@@ -201,7 +202,8 @@ class TestScatterProperties:
         w = ci.build_weights(ci.group_index(data))
         n = data.n
         total = Kc @ (np.eye(n) - np.full((n, n), 1.0 / n)) @ Kc
-        got = ci.between_scatter(Kc, w) + ci.within_scatter(Kc, w)
+        F = ci.between_scatter(Kc, w)
+        got = F @ F.T + ci.within_scatter(Kc, w)
         assert np.allclose(got, total, atol=1e-9)
 
     def test_shape_mismatch(self, make_dataset):

@@ -1,7 +1,11 @@
 """Generalized eigensolver, projection and model serialization."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condinv as ci
 from condinv.kernel import CenteringStats
@@ -22,7 +26,10 @@ def fit_scatters(data):
 def diagonal_scatters(p_diag, n):
     z = np.zeros((n, n))
     return ScatterSet(
-        conditional=z, prior=z, between=np.diag(np.asarray(p_diag, float)), within=np.eye(n)
+        conditional=z,
+        prior=z,
+        between_factor=np.diag(np.sqrt(np.asarray(p_diag, float))),
+        within=np.eye(n),
     )
 
 
@@ -83,14 +90,16 @@ class TestSolveDiagonal:
         a = ci.solve(diagonal_scatters([4.0, 1.0], 2), ci.SolverConfig(q=1, epsilon=1e-4))
         z = np.zeros((2, 2))
         doubled = ScatterSet(
-            conditional=z, prior=z, between=np.diag([4.0, 1.0]), within=2.0 * np.eye(2)
+            conditional=z, prior=z, between_factor=np.diag([2.0, 1.0]), within=2.0 * np.eye(2)
         )
         b = ci.solve(doubled, ci.SolverConfig(q=1, epsilon=1e-4))
         assert b.effective_epsilon == pytest.approx(2.0 * a.effective_epsilon)
 
     def test_zero_within_falls_back_to_absolute(self):
         z = np.zeros((2, 2))
-        scatters = ScatterSet(conditional=z, prior=z, between=np.diag([1.0, 0.5]), within=z)
+        scatters = ScatterSet(
+            conditional=z, prior=z, between_factor=np.diag(np.sqrt([1.0, 0.5])), within=z
+        )
         model = ci.solve(scatters, ci.SolverConfig(q=1, epsilon=1e-3))
         assert model.effective_epsilon == pytest.approx(1e-3)
 
@@ -166,6 +175,57 @@ class TestSolveRandom:
             B = model.coefficients
             picks = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
             assert np.all(picks > 0)
+
+
+@st.composite
+def factored_pencils(draw):
+    """A random definite pencil with a rank-r factored numerator, and q.
+
+    D's three summands are random PSD matrices plus a full-rank within
+    term. F = L_D H for a random H with prescribed, well-separated
+    singular values, so the pencil's positive eigenvalues are their
+    squares and every eigenvector is well determined. An optional extra
+    column repeats a combination of the others, as the between-class
+    factor's C columns have rank C - 1.
+    """
+    n = draw(st.integers(5, 12))
+    r = draw(st.integers(1, 4))
+    q = draw(st.integers(1, n))
+    dependent = draw(st.booleans())
+    gamma = draw(st.floats(0.0, 3.0))
+    alpha = draw(st.floats(0.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def psd(rank):
+        A = rng.normal(size=(n, rank))
+        return A @ A.T / rank
+
+    conditional, prior, within = psd(3), psd(2), psd(2 * n)
+    cfg = ci.SolverConfig(gamma=gamma, alpha=alpha, epsilon=1e-5, q=q)
+    eff_eps = cfg.epsilon * float(np.mean(np.diag(within)))
+    D = gamma * conditional + alpha * prior + within + eff_eps * np.eye(n)
+    ratios = rng.uniform(0.2, 0.8, size=r - 1)
+    sigma = 10.0 ** rng.uniform(-2, 2) * np.cumprod(np.concatenate([[1.0], ratios]))
+    U = np.linalg.qr(rng.normal(size=(n, r)))[0]
+    V = np.linalg.qr(rng.normal(size=(r, r)))[0]
+    F = np.linalg.cholesky(D) @ (U * sigma[None, :]) @ V.T
+    if dependent:
+        F = np.hstack([F, F @ rng.normal(size=(r, 1))])
+    return ScatterSet(conditional, prior, F, within), cfg
+
+
+class TestSolveMatchesDenseOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(factored_pencils())
+    def test_factored_solve_matches_dense_eigh(self, case):
+        scatters, cfg = case
+        model = ci.solve(scatters, cfg)
+        lam, vecs, warnings = oracles.pencil_eig_dense(scatters, cfg)
+        assert model.n_components == lam.size
+        assert model.warnings == warnings
+        assert np.allclose(model.eigenvalues, lam, rtol=1e-9, atol=0.0)
+        scale = np.abs(vecs).max()
+        assert np.allclose(model.coefficients, vecs, rtol=0.0, atol=1e-8 * scale)
 
 
 class TestProjectionModel:
@@ -328,3 +388,71 @@ class TestModelSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SolverError, match="not found"):
             ci.load_model(tmp_path / "absent.model")
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """Bytes of a saved cidg model with a warning, and a scratch path."""
+    data = random_dataset(np.random.default_rng(21), n=12, d=2)
+    model = ci.fit_baseline(ci.Method("cidg", q=11), data, ci.KernelSpec(bandwidth=1.0))
+    assert model.warnings
+    path = tmp_path_factory.mktemp("fuzz") / "m.model"
+    ci.save_model(model, path)
+    return path.read_bytes(), path
+
+
+def load_or_none(path, blob):
+    """load_model on blob: the model, or None on SolverError; anything else raises."""
+    path.write_bytes(blob)
+    try:
+        return ci.load_model(path)
+    except SolverError:
+        return None
+
+
+# byte offsets of the header fields after the 8-byte magic
+_N_OFF, _D_OFF, _Q_OFF, _BW_OFF = 16, 24, 32, 48
+
+
+class TestLoadModelFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncations_raise_solver_error(self, saved_model, data):
+        blob, path = saved_model
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        assert load_or_none(path, blob[:cut]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_flips_raise_only_solver_error(self, saved_model, data):
+        blob, path = saved_model
+        flips = data.draw(
+            st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 7)),
+                     min_size=1, max_size=8)
+        )
+        out = bytearray(blob)
+        for pos, bit in flips:
+            out[pos] ^= 1 << bit
+        load_or_none(path, bytes(out))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_inconsistent_counts_raise_solver_error(self, saved_model, data):
+        blob, path = saved_model
+        out = bytearray(blob)
+        offset = data.draw(st.sampled_from([_N_OFF, _D_OFF, _Q_OFF]))
+        (old,) = struct.unpack_from("<Q", blob, offset)
+        value = data.draw(
+            st.one_of(st.integers(0, 64), st.integers(2**62, 2**64 - 1), st.integers(0, 2**64 - 1))
+            .filter(lambda v: v != old)
+        )
+        struct.pack_into("<Q", out, offset, value)
+        assert load_or_none(path, bytes(out)) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(max_value=0.0) | st.just(float("nan")))
+    def test_invalid_bandwidth_raises_solver_error(self, saved_model, bandwidth):
+        blob, path = saved_model
+        out = bytearray(blob)
+        struct.pack_into("<d", out, _BW_OFF, bandwidth)
+        assert load_or_none(path, bytes(out)) is None
