@@ -24,6 +24,7 @@ All four produce a ProjectionModel whose projection feeds the same KNN.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -39,7 +40,17 @@ from .scatter import (
     uniform_domain_weights,
     within_scatter,
 )
-from .solver import ProjectionModel, SolverConfig, _truncate, default_q, solve
+from .solver import (
+    ProjectionModel,
+    SolverConfig,
+    SolverError,
+    _truncate,
+    _truncation_warning,
+    default_q,
+    factor_pencil,
+    solve,
+    solve_plane,
+)
 
 METHOD_TAGS = ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
 
@@ -173,10 +184,11 @@ def _kpca_model(
     n = Kc.shape[0]
     lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
     order = np.argsort(-lam, kind="stable")
-    lam, vecs, warnings = _truncate(
-        lam[order], vecs[:, order], q, eig_tolerance,
-        "centered Gram matrix has no positive eigenvalues",
-    )
+    lam, vecs = lam[order], vecs[:, order]
+    kept = int(_truncate(lam[None], vecs[None], q, eig_tolerance)[0])
+    if kept == 0:
+        raise SolverError("centered Gram matrix has no positive eigenvalues")
+    lam, vecs, warnings = lam[:kept], vecs[:, :kept], _truncation_warning(q, kept)
     return ProjectionModel(
         coefficients=vecs,
         eigenvalues=lam,
@@ -239,40 +251,80 @@ def prepare_fit(
     if tag == "kpca":
         return PreparedFit(tag, spec, X, stats, Kc, q)
     weights = build_weights(groups, lenient=lenient)
-    if tag == "dica_marginal":
-        vectors, mean = uniform_domain_weights(groups)
+    if tag == "cidg":
+        scatters = scatter_set(Kc, weights)
+    else:
+        # only the scatters the method's pencil weighs: dica_marginal's
+        # domain scatter takes the prior's place, kfda has neither
+        none = np.zeros((train.n, 0))
         scatters = ScatterSet(
-            conditional=np.zeros((train.n, train.n)),
-            prior=domain_scatter(Kc, vectors, mean),
+            conditional_factor=none,
+            prior_factor=domain_scatter(Kc, *uniform_domain_weights(groups))
+            if tag == "dica_marginal" else none,
             between_factor=between_scatter(Kc, weights),
             within=within_scatter(Kc, weights),
         )
-    else:
-        scatters = scatter_set(Kc, weights)
     return PreparedFit(tag, spec, X, stats, Kc, q, scatters, weights.adjustments)
 
 
-def fit_prepared(method: Method, prepared: PreparedFit) -> ProjectionModel:
-    """Solve for the projection of ``method`` on a prepare_fit result."""
+def _checked_q(method: Method, prepared: PreparedFit) -> int:
     if method.tag != prepared.tag:
         raise ClassifyError(f"a {prepared.tag} preparation cannot fit {method.tag}")
     n = prepared.Kc.shape[0]
     q = method.q if method.q is not None else prepared.default_q
     if q > n:
         raise ClassifyError(f"q={q} exceeds the training size n={n}")
-    if method.tag == "kpca":
-        return _kpca_model(prepared.Kc, q, prepared.spec, prepared.features, prepared.centering)
+    return q
+
+
+def _pencil_weights(method: Method) -> tuple[float, float]:
     # dica_marginal weighs its domain scatter (stored as the prior) by 1;
     # kfda leaves between vs within + ridge
-    gamma, alpha = {"dica_marginal": (0.0, 1.0), "kfda": (0.0, 0.0)}.get(
+    return {"dica_marginal": (0.0, 1.0), "kfda": (0.0, 0.0)}.get(
         method.tag, (method.gamma, method.alpha)
     )
-    config = SolverConfig(gamma=gamma, alpha=alpha, epsilon=method.epsilon, q=q)
-    model = solve(prepared.scatters, config, kernel_spec=prepared.spec,
-                  training_features=prepared.features, centering=prepared.centering)
+
+
+def _with_adjustments(model: ProjectionModel, prepared: PreparedFit) -> ProjectionModel:
     if prepared.adjustments:
         model = replace(model, warnings=model.warnings + prepared.adjustments)
     return model
+
+
+def fit_prepared(method: Method, prepared: PreparedFit) -> ProjectionModel:
+    """Solve for the projection of ``method`` on a prepare_fit result."""
+    q = _checked_q(method, prepared)
+    if method.tag == "kpca":
+        return _kpca_model(prepared.Kc, q, prepared.spec, prepared.features, prepared.centering)
+    gamma, alpha = _pencil_weights(method)
+    config = SolverConfig(gamma=gamma, alpha=alpha, epsilon=method.epsilon, q=q)
+    model = solve(prepared.scatters, config, kernel_spec=prepared.spec,
+                  training_features=prepared.features, centering=prepared.centering)
+    return _with_adjustments(model, prepared)
+
+
+def fit_plane(
+    methods: Sequence[Method], prepared: PreparedFit
+) -> list[ProjectionModel | SolverError]:
+    """fit_prepared for methods that differ only in gamma and alpha.
+
+    The pencil methods share one factor_pencil and one stacked solve_plane
+    call. Returns one entry per method, in order: its model, or the
+    SolverError fit_prepared would raise for it alone. An error common to
+    every method (a failed factorization, an invalid q) is raised.
+    """
+    first = methods[0]
+    if any((m.tag, m.epsilon, m.q) != (first.tag, first.epsilon, first.q) for m in methods):
+        raise ClassifyError("a plane's methods must share their tag, epsilon and q")
+    q = _checked_q(first, prepared)
+    if first.tag == "kpca":
+        return [fit_prepared(m, prepared) for m in methods]
+    models = solve_plane(
+        factor_pencil(prepared.scatters, first.epsilon), [_pencil_weights(m) for m in methods],
+        q, kernel_spec=prepared.spec, training_features=prepared.features,
+        centering=prepared.centering,
+    )
+    return [m if isinstance(m, SolverError) else _with_adjustments(m, prepared) for m in models]
 
 
 def fit_baseline(

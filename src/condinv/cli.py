@@ -55,7 +55,6 @@ _ERRORS = (
     ClassifyError,
     OSError,
     yaml.YAMLError,
-    ValueError,
 )
 
 

@@ -248,8 +248,10 @@ def spec_from_mapping(mapping: Mapping) -> SyntheticSpec:
         raise DatasetError("synthetic spec needs a 'domains' section")
     try:
         seed = int(mapping.get("seed", 0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetError(f"seed must be an integer, got {mapping.get('seed')!r}") from None
+    if not isinstance(mapping["domains"], Mapping):
+        raise DatasetError("synthetic spec 'domains' must map domain ids to classes")
     cells: dict[tuple[int, int], CellSpec] = {}
     for dom_key, classes in mapping["domains"].items():
         s = _parse_id(dom_key, "domain")
@@ -261,7 +263,7 @@ def spec_from_mapping(mapping: Mapping) -> SyntheticSpec:
                 x_mean, x_std = (float(v) for v in cell["x"])
                 y_mean, y_std = (float(v) for v in cell["y"])
                 count = int(cell["count"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DatasetError(
                     f"domain {s} class {j}: cell needs x: [mean, std], "
                     f"y: [mean, std], count ({exc})"
@@ -277,7 +279,7 @@ def load_spec(path) -> SyntheticSpec:
             mapping = yaml.safe_load(fh)
     except FileNotFoundError:
         raise DatasetError(f"spec file not found: {path}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot parse spec file {path}: {exc}") from None
     return spec_from_mapping(mapping)
 
@@ -285,7 +287,7 @@ def load_spec(path) -> SyntheticSpec:
 def _parse_id(key, what: str) -> int:
     try:
         value = int(key)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetError(f"{what} ids must be integers, got {key!r}") from None
     if value < 1:
         raise DatasetError(f"{what} ids must be >= 1, got {value}")
@@ -362,6 +364,32 @@ def _remap(values: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     return ids, {i + 1: name for i, name in enumerate(order)}
 
 
+def _read_table(path, delimiter: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Stripped header and the non-blank (line number, row) records of a UTF-8 table."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh, delimiter=delimiter))
+    except FileNotFoundError:
+        raise DatasetError(f"file not found: {path}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: not a readable UTF-8 delimited text file ({exc})") from None
+    if not records:
+        raise DatasetError(f"{path}: file is empty")
+    header = [h.strip() for h in records[0]]
+    rows = []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise DatasetError(
+                f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        rows.append((lineno, row))
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    return header, rows
+
+
 def load_csv(
     path,
     label_column: str = "label",
@@ -376,71 +404,53 @@ def load_csv(
     are remapped to dense 1-based ids (numeric strings sort numerically,
     other strings lexicographically after them). The original names are
     kept on the returned dataset. Errors name the offending file line and
-    column.
+    column; every failure is a DatasetError.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DatasetError(f"file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            raise DatasetError(f"{path}: duplicate column names in header")
-        for needed in (label_column, domain_column):
-            if needed not in header:
-                raise DatasetError(f"{path}: missing column '{needed}'")
-        if feature_columns is None:
-            feature_columns = [h for h in header if h not in (label_column, domain_column)]
-        if not feature_columns:
-            raise DatasetError(f"{path}: no feature columns")
-        missing = [c for c in feature_columns if c not in header]
-        if missing:
-            raise DatasetError(f"{path}: feature columns not in header: {missing}")
-        pos = {name: header.index(name) for name in header}
-        feat_pos = [pos[c] for c in feature_columns]
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        domains: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
+    header, records = _read_table(path, delimiter)
+    if len(set(header)) != len(header):
+        raise DatasetError(f"{path}: duplicate column names in header")
+    for needed in (label_column, domain_column):
+        if needed not in header:
+            raise DatasetError(f"{path}: missing column '{needed}'")
+    if feature_columns is None:
+        feature_columns = [h for h in header if h not in (label_column, domain_column)]
+    if not feature_columns:
+        raise DatasetError(f"{path}: no feature columns")
+    missing = [c for c in feature_columns if c not in header]
+    if missing:
+        raise DatasetError(f"{path}: feature columns not in header: {missing}")
+    pos = {name: header.index(name) for name in header}
+    feat_pos = [pos[c] for c in feature_columns]
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    domains: list[str] = []
+    for lineno, row in records:
+        values = []
+        for c, p in zip(feature_columns, feat_pos):
+            cell = row[p].strip()
+            try:
+                value = float(cell)
+            except ValueError:
                 raise DatasetError(
-                    f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for c, p in zip(feature_columns, feat_pos):
-                cell = row[p].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: line {lineno}, column '{c}': "
-                        f"non-numeric feature value {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DatasetError(
-                        f"{path}: line {lineno}, column '{c}': non-finite feature value {cell!r}"
-                    )
-                values.append(value)
-            label = row[pos[label_column]].strip()
-            domain = row[pos[domain_column]].strip()
-            if not label:
-                raise DatasetError(f"{path}: line {lineno}, column '{label_column}': empty label")
-            if not domain:
+                    f"{path}: line {lineno}, column '{c}': "
+                    f"non-numeric feature value {cell!r}"
+                ) from None
+            if not math.isfinite(value):
                 raise DatasetError(
-                    f"{path}: line {lineno}, column '{domain_column}': empty domain"
+                    f"{path}: line {lineno}, column '{c}': non-finite feature value {cell!r}"
                 )
-            rows.append(values)
-            labels.append(label)
-            domains.append(domain)
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
+            values.append(value)
+        label = row[pos[label_column]].strip()
+        domain = row[pos[domain_column]].strip()
+        if not label:
+            raise DatasetError(f"{path}: line {lineno}, column '{label_column}': empty label")
+        if not domain:
+            raise DatasetError(
+                f"{path}: line {lineno}, column '{domain_column}': empty domain"
+            )
+        rows.append(values)
+        labels.append(label)
+        domains.append(domain)
     label_ids, label_names = _remap(labels)
     domain_ids, domain_names = _remap(domains)
     return LabeledDataset(
@@ -471,28 +481,11 @@ def load_features(path, delimiter: str = ",") -> tuple[np.ndarray, list[str]]:
     Returns the matrix and the header names. Used by the projection CLI
     where no label or domain columns are required.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DatasetError(f"file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+    header, records = _read_table(path, delimiter)
+    rows = []
+    for lineno, row in records:
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise DatasetError(f"{path}: line {lineno}: non-numeric value") from None
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            raise DatasetError(f"{path}: line {lineno}: non-numeric value") from None
     return np.asarray(rows, dtype=np.float64), header

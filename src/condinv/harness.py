@@ -26,14 +26,19 @@ their own medians.
 The search does each piece of work once for the axes it depends on:
 
   per bandwidth scale   the kernel, the centered training Gram matrix and
-                        its statistics, the weights and scatter matrices
+                        its statistics, the weights and scatter factors
                         (classify.prepare_fit), and the centered
                         validation cross kernel;
-  per (scale, gamma,    one eigensolve at the largest q, and the training
-  alpha, epsilon)       and validation coordinates as products of those
-                        kernels with its projection basis; the solver
-                        returns a descending prefix of eigenpairs, so a
-                        smaller q slices the leading columns;
+  per (scale, epsilon)  one factorization of the pencil's within + eps I
+                        term (solver.factor_pencil);
+  per (gamma, alpha)    one stacked solve of every point of the plane at
+  plane                 the largest q (solver.solve_plane, through
+                        classify.fit_plane); the solver returns a
+                        descending prefix of eigenpairs, so a smaller q
+                        slices the leading columns;
+  per point             the training and validation coordinates, as
+                        products of those kernels with the point's
+                        projection basis;
   per q width           one neighbor order and the votes of every k
                         (classify.knn_votes). A q whose slice is as wide as
                         the previous one (the solve kept fewer components)
@@ -65,7 +70,7 @@ from .classify import (
     Method,
     accuracy,
     fit_baseline,
-    fit_prepared,
+    fit_plane,
     knn_predict,
     knn_votes,
     prepare_fit,
@@ -75,6 +80,7 @@ from .dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
+    load_spec,
     spec_from_mapping,
     split,
 )
@@ -237,6 +243,23 @@ def _require_mapping(node, context: str) -> dict:
     return node
 
 
+def _value(kind, node, context: str):
+    try:
+        return kind(node)
+    except (TypeError, ValueError, OverflowError):
+        raise HarnessError(f"{context} must be {kind.__name__}, got {node!r}") from None
+
+
+def _list(node, context: str) -> tuple:
+    if not isinstance(node, (list, tuple)):
+        raise HarnessError(f"{context} must be a list, got {type(node).__name__}")
+    return tuple(node)
+
+
+def _values(kind, node, context: str) -> tuple:
+    return tuple(_value(kind, v, context) for v in _list(node, context))
+
+
 def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config tree (schema version 1)."""
     tree = _require_mapping(tree, "config root")
@@ -250,10 +273,9 @@ def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
     if "synthetic" in ds_node:
         spec_node = ds_node["synthetic"]
         if isinstance(spec_node, str):
-            path = os.path.join(base_dir, spec_node)
-            with open(path, "r", encoding="utf-8") as fh:
-                spec_node = yaml.safe_load(fh)
-        dataset = spec_from_mapping(_require_mapping(spec_node, "dataset.synthetic"))
+            dataset = load_spec(os.path.join(base_dir, spec_node))
+        else:
+            dataset = spec_from_mapping(_require_mapping(spec_node, "dataset.synthetic"))
     else:
         csv_node = ds_node["csv"]
         if isinstance(csv_node, str):
@@ -266,7 +288,7 @@ def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
             path=os.path.join(base_dir, str(csv_node["path"])),
             label_column=str(csv_node.get("label_column", "label")),
             domain_column=str(csv_node.get("domain_column", "domain")),
-            feature_columns=None if cols is None else tuple(str(c) for c in cols),
+            feature_columns=None if cols is None else _values(str, cols, "feature_columns"),
         )
 
     exp = _require_mapping(tree.get("experiment"), "experiment")
@@ -282,7 +304,7 @@ def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
             bandwidth=(
                 kernel_node["bandwidth"]
                 if isinstance(kernel_node.get("bandwidth", MEDIAN), str)
-                else float(kernel_node["bandwidth"])
+                else _value(float, kernel_node["bandwidth"], "kernel.bandwidth")
             )
             if "bandwidth" in kernel_node
             else MEDIAN,
@@ -298,31 +320,36 @@ def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
     kwargs = {}
     for name in ("bandwidth_scale", "gamma", "alpha", "epsilon"):
         if name in grid_node:
-            kwargs[name] = tuple(float(v) for v in grid_node[name])
+            kwargs[name] = _values(float, grid_node[name], f"grids.{name}")
     if "q" in grid_node and grid_node["q"] is not None:
-        kwargs["q"] = tuple(int(v) for v in grid_node["q"])
+        kwargs["q"] = _values(int, grid_node["q"], "grids.q")
     if "k" in grid_node:
-        kwargs["k"] = tuple(int(v) for v in grid_node["k"])
+        kwargs["k"] = _values(int, grid_node["k"], "grids.k")
 
     return ExperimentConfig(
         dataset=dataset,
-        source_domains=tuple(exp["source_domains"]),
-        target_domains=tuple(exp["target_domains"]),
-        methods=tuple(str(m) for m in exp["methods"]),
+        source_domains=_list(exp["source_domains"], "experiment.source_domains"),
+        target_domains=_list(exp["target_domains"], "experiment.target_domains"),
+        methods=_values(str, exp["methods"], "experiment.methods"),
         kernel=kernel,
         grids=Grids(**kwargs),
-        train_fraction=float(exp.get("train_fraction", 0.7)),
-        validation_fraction=float(exp.get("validation_fraction", 0.3)),
-        repetitions=int(exp.get("repetitions", 5)),
-        seed=int(exp.get("seed", 0)),
+        train_fraction=_value(float, exp.get("train_fraction", 0.7), "experiment.train_fraction"),
+        validation_fraction=_value(
+            float, exp.get("validation_fraction", 0.3), "experiment.validation_fraction"
+        ),
+        repetitions=_value(int, exp.get("repetitions", 5), "experiment.repetitions"),
+        seed=_value(int, exp.get("seed", 0), "experiment.seed"),
         cross_centering=str(exp.get("cross_centering", "paper")),
     )
 
 
 def config_from_file(path: str) -> ExperimentConfig:
     """Read a YAML experiment config; relative data paths resolve beside it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tree = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise HarnessError(f"{path}: config is not UTF-8 text ({exc})") from None
     return config_from_mapping(tree, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -412,11 +439,20 @@ def _fitted_points(train, val, method_tag, axes, q_values, kernel, cross_centeri
         val_kernel = centered_cross_kernel(
             prepared.spec, train.features, prepared.centering, val.features, cross_centering
         )
-        for point in points:
+        # epsilon is the innermost grid axis, so a scale's planes (one per
+        # epsilon) are all solved before its first point is yielded
+        fits = {}
+        for eps in epsilons:
+            plane = [(g, a, eps) for g in gammas for a in alphas]
             try:
-                model = fit_prepared(_method(method_tag, *point, max(q_values)), prepared)
+                models = fit_plane([_method(method_tag, *p, max(q_values)) for p in plane], prepared)
             except _FIT_ERRORS as exc:
-                failures.append(_FAILURE.format(scale, *point, exc))
+                models = [exc] * len(plane)
+            fits.update(zip(plane, models))
+        for point in points:
+            model = fits[point]
+            if isinstance(model, Exception):
+                failures.append(_FAILURE.format(scale, *point, model))
                 continue
             basis = projection_basis(model)
             # the products project(model, ...) would compute, bit for bit

@@ -3,9 +3,9 @@
 Every empirical mean embedding used here is a weighted sum of training
 feature maps, so it is fully described by a length-n weight vector; a
 difference of two means maps to K @ (difference of weight vectors). The
-four scatter matrices are therefore built as sums of K v v' K outer
-products and never materialize the feature map (the between-class one
-is kept as its n x C factor):
+four scatter matrices are therefore sums of K v v' K outer products and
+never materialize the feature map. All but the within-class one are kept
+as their n x r factors G (scatter = G G'), r the number of mean offsets:
 
   conditional  - spread of per-domain class-conditional means around the
                  cross-domain mean of each class, averaged over domains
@@ -191,33 +191,32 @@ def _symmetrize(S: np.ndarray) -> np.ndarray:
 
 
 def conditional_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
-    """Spread of per-domain class-conditional means around each class mean.
+    """n x mC factor of the spread of per-domain class-conditional means.
 
-    Sum over (domain, class) of K (a_sj - abar_j)(a_sj - abar_j)' K, each
-    class's terms averaged over the domains containing it (all domains in
-    strict mode).
+    Column (s, j) is K (a_sj - abar_j) / sqrt(m_j), m_j the number of
+    domains containing class j, so the factor times its transpose sums the
+    outer products, each class's terms averaged over its domains (all
+    domains in strict mode).
     """
     K = _check_k(K, w.n)
     pairs = sorted(w.class_domain)
     diffs = np.stack([w.class_domain[(s, j)] - w.class_mean[j] for s, j in pairs], axis=1)
     doms_per_class = {j: sum(1 for s2, j2 in pairs if j2 == j) for _, j in pairs}
     inv_m = np.array([1.0 / doms_per_class[j] for _, j in pairs])
-    G = K @ diffs
-    return _symmetrize((G * inv_m[None, :]) @ G.T)
+    return (K @ diffs) * np.sqrt(inv_m)[None, :]
 
 
 def domain_scatter(K: np.ndarray, vectors: Mapping[int, np.ndarray], mean: np.ndarray) -> np.ndarray:
-    """Average over domains of K (mean - v_s)(mean - v_s)' K."""
+    """n x m factor of the average over domains of K (mean - v_s)(mean - v_s)' K."""
     keys = sorted(vectors)
     n = mean.shape[0]
     K = _check_k(K, n)
     diffs = np.stack([mean - vectors[s] for s in keys], axis=1)
-    G = K @ diffs
-    return _symmetrize((G @ G.T) / len(keys))
+    return (K @ diffs) / np.sqrt(len(keys))
 
 
 def prior_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
-    """Spread of per-domain prior-normalized marginal means around their average."""
+    """n x m factor of the spread of per-domain prior-normalized marginal means."""
     return domain_scatter(K, w.prior_normalized, w.prior_mean)
 
 
@@ -251,12 +250,25 @@ def within_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatterSet:
-    """The scatters used by the eigensolver; between is F @ F.T of its factor."""
+    """The scatters used by the eigensolver.
 
-    conditional: np.ndarray
-    prior: np.ndarray
+    Each *_factor is an n x r matrix G whose scatter is G @ G.T; the
+    properties of the same name without the suffix expand it. An n x 0
+    factor stands for a zero scatter.
+    """
+
+    conditional_factor: np.ndarray
+    prior_factor: np.ndarray
     between_factor: np.ndarray
     within: np.ndarray
+
+    @property
+    def conditional(self) -> np.ndarray:
+        return self.conditional_factor @ self.conditional_factor.T
+
+    @property
+    def prior(self) -> np.ndarray:
+        return self.prior_factor @ self.prior_factor.T
 
     @property
     def between(self) -> np.ndarray:
@@ -266,8 +278,8 @@ class ScatterSet:
 def scatter_set(K: np.ndarray, w: WeightSet) -> ScatterSet:
     """Build all four scatters from one centered Gram matrix."""
     return ScatterSet(
-        conditional=conditional_scatter(K, w),
-        prior=prior_scatter(K, w),
+        conditional_factor=conditional_scatter(K, w),
+        prior_factor=prior_scatter(K, w),
         between_factor=between_scatter(K, w),
         within=within_scatter(K, w),
     )

@@ -5,15 +5,36 @@ sum of the invariance scatters and the within-class scatter,
 
     between @ B = (gamma * conditional + alpha * prior + within + eps I) B Lambda,
 
-a symmetric-definite pencil: D, the right-hand matrix, is positive
-definite once the eps ridge is added. between = F F' for the n x C factor
-F of scatter.between_scatter, of rank at most C - 1 (the count-weighted
-class-mean offsets sum to zero), so the pencil has at most C - 1 positive
-eigenvalues. With the Cholesky factor D = L L' and the thin SVD
-L^{-1} F = U Sigma V', they are Sigma^2 and the eigenvectors are
-B = L^{-T} U (back-substitution), so B' D B = U' U = I by construction,
-the trace constraint of the underlying Lagrangian. A fit costs one n^3/3
-factorization plus O(n^2 C), not a dense generalized eigendecomposition.
+a symmetric-definite pencil (P, D): D is positive definite once the eps
+ridge is added. Every scatter but the within-class one W is kept as a
+factor (scatter.ScatterSet): P = F F' with F n x C, and
+D = A + U S U' with A = W + eps I, U = [conditional, prior factors] and
+S = diag(gamma, ..., gamma, alpha, ..., alpha).
+
+The solve reduces the pencil to k = C + (columns of U) dimensions, exactly.
+Take the Cholesky factor A = L L' and the thin QR L^{-1} [F U] = Z R,
+R = [R_F R_U]. With b = L^{-T} x the pencil becomes
+
+    Z R_F R_F' Z' x = lambda (I + Z R_U S R_U' Z') x,
+
+and the component of x orthogonal to Z has lambda x_perp = 0, so every
+eigenpair with lambda > 0 has x = Z c, where c solves the k x k pencil
+
+    R_F R_F' c = lambda M c,    M = I + R_U S R_U'.
+
+M is the identity plus a positive semidefinite term, so its eigenvalues
+are all >= 1 and its Cholesky factor M = G G' always exists. With the thin
+SVD G^{-1} R_F = V Sigma W', lambda = Sigma^2 and c = G^{-T} V, so
+B = T c with T = L^{-T} Z, and B' D B = c' M c = V' V = I by construction,
+the trace constraint of the underlying Lagrangian. P has rank at most
+C - 1 (the count-weighted class-mean offsets sum to zero), so at most
+C - 1 eigenvalues are positive.
+
+Only S depends on gamma and alpha. factor_pencil does the n-sized work
+once per (scatters, eps): the n^3/3 Cholesky of A, the whitened QR and T.
+solve_plane then solves any number of (gamma, alpha) points as one stack
+of k x k problems; solve is its one-point case. The residual screen
+evaluates D B as W B + eps B + U S (U' B), so D is never formed.
 
 The configured eps is relative: the ridge actually added is
 eps * mean(diag(within)), falling back to eps alone when the within
@@ -128,25 +149,150 @@ class ProjectionModel:
         return int(self.coefficients.shape[0])
 
 
-def _truncate(lam, vecs, q, eig_tolerance, empty_message):
-    """Keep the eigenpairs above eig_tolerance relative to the largest.
+def _truncate(lam, vecs, q, eig_tolerance):
+    """Sign rule and relative tolerance over a stack of descending spectra.
 
-    lam is descending and at most q long. Returns the kept eigenvalues,
-    their vectors with each largest-magnitude entry made positive, and the
-    truncation warning, if any.
+    lam is (P, r) with each row descending and vecs (P, n, r). Makes the
+    largest-magnitude entry of every vector positive, in place, and returns
+    per spectrum the number of leading pairs among the first q that are
+    positive and at least eig_tolerance times the largest (0 when none is
+    positive).
     """
-    if lam.size == 0 or lam[0] <= 0:
-        raise SolverError(empty_message)
-    keep = (lam > 0) & (lam >= eig_tolerance * lam[0])
-    warnings: tuple[str, ...] = ()
-    if keep.sum() < q:
-        warnings = (
-            f"requested q={q} but only {int(keep.sum())} eigenvalues "
-            "are positive above tolerance; truncated",
+    P, _, r = vecs.shape
+    picks = vecs[np.arange(P)[:, None], np.abs(vecs).argmax(axis=1), np.arange(r)]
+    np.negative(vecs, out=vecs, where=(picks < 0)[:, None, :])
+    lam = lam[:, :q]
+    return np.count_nonzero((lam > 0) & (lam >= eig_tolerance * lam[:, :1]), axis=1)
+
+
+def _truncation_warning(q: int, kept: int) -> tuple[str, ...]:
+    if kept >= q:
+        return ()
+    return (f"requested q={q} but only {kept} eigenvalues are positive above tolerance; truncated",)
+
+
+@dataclass(frozen=True)
+class PencilFactor:
+    """The part of the pencil solve fixed by the scatters and epsilon.
+
+    invariance_factor is U = [conditional, prior factors]; basis is
+    T = L^{-T} Z (n x k); between and invariance are R_F and R_U, the
+    columns of the whitened QR's R that belong to the between-class factor
+    and to U. See the module docstring.
+    """
+
+    scatters: ScatterSet
+    effective_epsilon: float
+    invariance_factor: np.ndarray
+    basis: np.ndarray
+    between: np.ndarray
+    invariance: np.ndarray
+
+
+def factor_pencil(scatters: ScatterSet, epsilon: float) -> PencilFactor:
+    """Factor within + eps I and whiten the scatter factors against it."""
+    F = scatters.between_factor
+    U = np.hstack([scatters.conditional_factor, scatters.prior_factor])
+    n = F.shape[0]
+    if F.ndim != 2 or U.shape[0] != n or scatters.within.shape != (n, n):
+        raise SolverError("scatter matrices have inconsistent shapes")
+    scale = float(np.mean(np.diag(scatters.within)))
+    eff_eps = epsilon * (scale if scale > 0 else 1.0)
+    A = scatters.within.copy()
+    A.flat[:: n + 1] += eff_eps
+    try:
+        # A is symmetric, so its transpose is the same matrix in Fortran
+        # order, which LAPACK factors in place instead of copying
+        L = scipy.linalg.cholesky(A.T, lower=True, overwrite_a=True)
+        Z, R = np.linalg.qr(
+            scipy.linalg.solve_triangular(L, np.hstack([F, U]), lower=True, check_finite=False)
         )
-    vecs = vecs[:, keep]
-    vecs[:, vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0] *= -1.0
-    return lam[keep], vecs, warnings
+        T = scipy.linalg.solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SolverError(f"generalized eigensolve failed: {exc}") from None
+    C = F.shape[1]
+    return PencilFactor(scatters, float(eff_eps), U, T, R[:, :C], R[:, C:])
+
+
+def solve_plane(
+    factor: PencilFactor,
+    weights,
+    q: int,
+    eig_tolerance: float = 1e-10,
+    kernel_spec: KernelSpec | None = None,
+    training_features: np.ndarray | None = None,
+    centering: CenteringStats | None = None,
+) -> list[ProjectionModel | SolverError]:
+    """Top eigenpairs of the pencil at every (gamma, alpha) in weights.
+
+    Solves all points as one stack of k x k problems on a factor_pencil
+    result. Returns one entry per point, in order: its ProjectionModel, or
+    the SolverError that solve would raise for that point alone.
+    """
+    scatters = factor.scatters
+    F = scatters.between_factor
+    n = F.shape[0]
+    if q > n:
+        raise SolverError(f"q={q} exceeds the number of training samples n={n}")
+    ga = np.asarray(weights, dtype=np.float64).reshape(-1, 2)
+    if (ga < 0).any():
+        raise SolverError("gamma and alpha must be >= 0")
+    n_cond = scatters.conditional_factor.shape[1]
+    s = np.repeat(ga, [n_cond, scatters.prior_factor.shape[1]], axis=1)  # diag(S) per point
+    RU = factor.invariance
+    P, k = ga.shape[0], RU.shape[0]
+    try:
+        G = np.linalg.cholesky(np.eye(k) + (RU * s[:, None, :]) @ RU.T)
+        H = np.linalg.solve(G, np.broadcast_to(factor.between, (P, *factor.between.shape)))
+        V, sigma, _ = np.linalg.svd(H, full_matrices=False)
+        B = factor.basis @ np.linalg.solve(np.swapaxes(G, 1, 2), V)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"generalized eigensolve failed: {exc}") from None
+    # singular values come back descending
+    lam = sigma**2
+    kept = _truncate(lam, B, q, eig_tolerance)
+
+    # Residual screen. Eigenvalues just above the relative tolerance can
+    # still be pure null-space noise of the (low-rank) numerator; such
+    # pairs fail the residual bound and carry no signal, so each component
+    # list is cut at its first failure rather than returned unreliable.
+    U = factor.invariance_factor
+    PB = F @ (F.T @ B)
+    DB = scatters.within @ B + factor.effective_epsilon * B + U @ (s[:, :, None] * (U.T @ B))
+    res = np.linalg.norm(PB - DB * lam[:, None, :], axis=1)
+    bound = _RESIDUAL_REL * np.maximum(np.linalg.norm(PB, axis=1), _RESIDUAL_FLOOR)
+    # first failing pair, or the sentinel column past the last one
+    first_bad = np.hstack([res > bound, np.ones((P, 1), dtype=bool)]).argmax(axis=1)
+    cut = np.minimum(kept, first_bad)
+
+    out: list[ProjectionModel | SolverError] = []
+    for p in range(P):
+        warnings = _truncation_warning(q, int(kept[p]))
+        if kept[p] == 0:
+            out.append(SolverError("no positive eigenvalues: the between-class scatter is zero"))
+            continue
+        c = int(cut[p])
+        if c == 0:
+            out.append(SolverError(
+                "leading eigenpair fails the residual bound "
+                f"({res[p, 0]:.3e} > {bound[p, 0]:.3e}); inputs are likely degenerate"
+            ))
+            continue
+        if c < kept[p]:
+            warnings += (f"eigenpairs from index {c} fail the residual bound and were dropped",)
+        out.append(ProjectionModel(
+            coefficients=B[p, :, :c],
+            eigenvalues=lam[p, :c],
+            gamma=float(ga[p, 0]),
+            alpha=float(ga[p, 1]),
+            effective_epsilon=factor.effective_epsilon,
+            requested_q=int(q),
+            warnings=warnings,
+            kernel_spec=kernel_spec,
+            training_features=training_features,
+            centering=centering,
+        ))
+    return out
 
 
 def solve(
@@ -161,78 +307,21 @@ def solve(
     Returns up to config.q components; eigenvalues that are not strictly
     positive, or fall below eig_tolerance relative to the largest, are
     dropped with a recorded warning. The optional kernel context is
-    attached verbatim so fitted models can project new samples.
+    attached verbatim so fitted models can project new samples. This is
+    the one-point case of solve_plane.
     """
-    F = scatters.between_factor
-    n = F.shape[0]
     if config.q is None:
         raise SolverError(
             "SolverConfig.q is unset; pass a concrete dimension "
             "(fitting layers default it to min(n - 1, classes * domains))"
         )
-    if config.q > n:
-        raise SolverError(f"q={config.q} exceeds the number of training samples n={n}")
-    if F.ndim != 2 or not all(
-        m.shape == (n, n) for m in (scatters.conditional, scatters.prior, scatters.within)
-    ):
-        raise SolverError("scatter matrices have inconsistent shapes")
-
-    scale = float(np.mean(np.diag(scatters.within)))
-    eff_eps = config.epsilon * (scale if scale > 0 else 1.0)
-    D = (
-        config.gamma * scatters.conditional
-        + config.alpha * scatters.prior
-        + scatters.within
-        + eff_eps * np.eye(n)
+    (model,) = solve_plane(
+        factor_pencil(scatters, config.epsilon), [(config.gamma, config.alpha)], config.q,
+        config.eig_tolerance, kernel_spec, training_features, centering,
     )
-    try:
-        L = scipy.linalg.cholesky(D, lower=True)
-        U, sigma, _ = scipy.linalg.svd(
-            scipy.linalg.solve_triangular(L, F, lower=True), full_matrices=False
-        )
-        vecs = scipy.linalg.solve_triangular(L, U[:, : config.q], lower=True, trans="T")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(f"generalized eigensolve failed: {exc}") from None
-    # singular values come back descending
-    lam, vecs, warnings = _truncate(
-        sigma[: config.q] ** 2, vecs, config.q, config.eig_tolerance,
-        "no positive eigenvalues: the between-class scatter is zero",
-    )
-
-    # Residual screen. Eigenvalues just above the relative tolerance can
-    # still be pure null-space noise of the (low-rank) numerator; such
-    # pairs fail the residual bound and carry no signal, so the component
-    # list is cut at the first failure rather than returned unreliable.
-    PB = F @ (F.T @ vecs)
-    DB = D @ vecs
-    res = np.linalg.norm(PB - DB * lam[None, :], axis=0)
-    bound = _RESIDUAL_REL * np.maximum(np.linalg.norm(PB, axis=0), _RESIDUAL_FLOOR)
-    bad = np.flatnonzero(res > bound)
-    if bad.size:
-        cut = int(bad[0])
-        if cut == 0:
-            raise SolverError(
-                "leading eigenpair fails the residual bound "
-                f"({res[0]:.3e} > {bound[0]:.3e}); inputs are likely degenerate"
-            )
-        warnings = warnings + (
-            f"eigenpairs from index {cut} fail the residual bound and were dropped",
-        )
-        lam = lam[:cut]
-        vecs = vecs[:, :cut]
-
-    return ProjectionModel(
-        coefficients=vecs,
-        eigenvalues=lam,
-        gamma=float(config.gamma),
-        alpha=float(config.alpha),
-        effective_epsilon=float(eff_eps),
-        requested_q=int(config.q),
-        warnings=warnings,
-        kernel_spec=kernel_spec,
-        training_features=training_features,
-        centering=centering,
-    )
+    if isinstance(model, SolverError):
+        raise model
+    return model
 
 
 def projection_basis(model: ProjectionModel) -> np.ndarray:

@@ -235,8 +235,8 @@ class TestFitBaseline:
         # the fitted dica model equals a cidg solve with gamma pinned to 0
         c = ci.solve(
             ScatterSet(
-                conditional=np.zeros((data.n, data.n)),
-                prior=ci.prior_scatter(Kc, w),
+                conditional_factor=np.zeros((data.n, 0)),
+                prior_factor=ci.prior_scatter(Kc, w),
                 between_factor=ci.between_scatter(Kc, w),
                 within=ci.within_scatter(Kc, w),
             ),

@@ -253,6 +253,44 @@ class TestProjectAndExport:
         assert "not found" in capsys.readouterr().err
 
 
+class TestErrorReporting:
+    def test_non_utf8_csv_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        code = main(["export-features", "--data", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "grids", [{"gamma": 5}, {"gamma": ["much"]}, {"q": [float("inf")]}]
+    )
+    def test_mistyped_config_is_one_error_line(self, tmp_path, capsys, grids):
+        config = write_config(tmp_path)
+        tree = yaml.safe_load(config.read_text())
+        tree["grids"].update(grids)
+        config.write_text(yaml.safe_dump(tree))
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grids.") and err.count("\n") == 1
+
+    def test_value_error_from_the_library_propagates(self, tmp_path, monkeypatch):
+        # a bare ValueError is a programming error, not a diagnosed failure
+        import condinv.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug inside the library")
+
+        monkeypatch.setattr(condinv.cli, "load_csv", broken)
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("x1,x2,label,domain\n1,2,a,b\n")
+        with pytest.raises(ValueError, match="bug inside the library") as info:
+            main(["export-features", "--data", str(data_csv), "--out", str(tmp_path / "o.csv")])
+        assert info.type is ValueError
+
+
 class TestParser:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -1,7 +1,12 @@
 """Dataset containers, synthetic generation, splitting and CSV round trips."""
 
+import copy
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import condinv as ci
 from condinv.dataset import (
@@ -376,3 +381,140 @@ class TestLoadFeatures:
         path.write_text("u\nhello\n")
         with pytest.raises(DatasetError, match="line 2"):
             load_features(path)
+
+
+# --- malformed input raises DatasetError and nothing else ----------------------
+
+GOOD_SPEC = {
+    "version": 1,
+    "seed": 11,
+    "domains": {
+        1: {1: {"x": [1.0, 0.3], "y": [2.0, 0.3], "count": 3},
+            2: {"x": [2.0, 0.3], "y": [1.0, 0.3], "count": 2}},
+        2: {1: {"x": [3.5, 0.3], "y": [2.5, 0.3], "count": 2}},
+    },
+}
+
+# the node types safe_load can produce, nested
+yaml_nodes = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers() | st.text(max_size=3) | st.floats(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def paths(tree, prefix=()):
+    """Every key path into the nested dicts of tree."""
+    out = []
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            out.append(prefix + (key,))
+            out.extend(paths(value, prefix + (key,)))
+    return out
+
+
+def spec_or_none(tree):
+    """spec_from_mapping on tree: the spec, or None on DatasetError; anything else raises."""
+    try:
+        return spec_from_mapping(tree)
+    except DatasetError:
+        return None
+
+
+class TestSpecFromMappingFuzz:
+    @pytest.mark.parametrize("domains", [[1, 2], None, "12", 7])
+    def test_non_mapping_domains(self, domains):
+        with pytest.raises(DatasetError, match="domains"):
+            spec_from_mapping({"domains": domains})
+
+    def test_infinite_count_and_id(self):
+        tree = copy.deepcopy(GOOD_SPEC)
+        tree["domains"][1][1]["count"] = float("inf")
+        with pytest.raises(DatasetError, match="domain 1 class 1"):
+            spec_from_mapping(tree)
+        tree = copy.deepcopy(GOOD_SPEC)
+        tree["domains"][float("inf")] = tree["domains"].pop(2)
+        with pytest.raises(DatasetError, match="integers"):
+            spec_from_mapping(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(yaml_nodes)
+    def test_arbitrary_trees(self, tree):
+        spec_or_none(tree)
+        spec_or_none({"version": 1, "domains": tree})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_wrong_node_types(self, data):
+        tree = copy.deepcopy(GOOD_SPEC)
+        path = data.draw(st.sampled_from(paths(tree)))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], tree)
+        parent[path[-1]] = data.draw(yaml_nodes)
+        spec_or_none(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncations(self, data):
+        tree = copy.deepcopy(GOOD_SPEC)
+        for path in data.draw(st.lists(st.sampled_from(paths(tree)), min_size=1, max_size=4)):
+            try:
+                parent = functools.reduce(lambda node, key: node[key], path[:-1], tree)
+                del parent[path[-1]]
+            except KeyError:
+                pass  # an earlier deletion removed it already
+        spec_or_none(tree)
+
+
+@pytest.fixture(scope="module")
+def saved_csv(tmp_path_factory):
+    """Bytes of a saved labeled CSV with named classes, and a scratch path."""
+    data = ci.generate_synthetic(
+        spec_from_mapping(GOOD_SPEC)
+    )
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    save_csv(data, path)
+    return path.read_bytes(), path
+
+
+def csv_or_none(path, blob):
+    """load_csv on blob: the dataset, or None on DatasetError; anything else raises."""
+    path.write_bytes(blob)
+    try:
+        return ci.load_csv(path)
+    except DatasetError:
+        return None
+
+
+class TestLoadCsvFuzz:
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(DatasetError, match="UTF-8"):
+            ci.load_csv(path)
+        with pytest.raises(DatasetError, match="UTF-8"):
+            load_features(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_truncations(self, saved_csv, data):
+        blob, path = saved_csv
+        csv_or_none(path, blob[: data.draw(st.integers(0, len(blob) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_byte_flips(self, saved_csv, data):
+        blob, path = saved_csv
+        flips = data.draw(
+            st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 7)),
+                     min_size=1, max_size=8)
+        )
+        out = bytearray(blob)
+        for pos, bit in flips:
+            out[pos] ^= 1 << bit
+        csv_or_none(path, bytes(out))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, saved_csv, blob):
+        csv_or_none(saved_csv[1], blob)

@@ -379,11 +379,43 @@ class TestGridSearch:
         def broken_solve(*args, **kwargs):
             raise ValueError("bug inside the solver")
 
-        monkeypatch.setattr(condinv.classify, "solve", broken_solve)
+        monkeypatch.setattr(condinv.classify, "solve_plane", broken_solve)
         train, val, fit_part = self.parts()
         with pytest.raises(ValueError, match="bug inside the solver") as info:
             ci.grid_search(fit_part, val, "cidg", ci.Grids(bandwidth_scale=(1.0,), k=(1,)))
         assert info.type is ValueError
+
+    @pytest.mark.parametrize("tag", ["kfda", "cidg"])
+    def test_one_factorization_and_one_stacked_solve_per_plane(self, tag, monkeypatch):
+        # every (scale, epsilon) plane is factored once and solved in one
+        # stacked call; no grid point falls back to its own solve
+        import condinv.classify
+
+        calls = {"factor_pencil": 0, "solve_plane": [], "solve": 0}
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                if name == "solve_plane":
+                    calls[name].append(len(args[1]))
+                else:
+                    calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                condinv.classify, name, counted(name, getattr(condinv.classify, name))
+            )
+        grids = ci.Grids(
+            bandwidth_scale=(0.5, 1.0, 2.0), gamma=(0.1, 1.0, 10.0), alpha=(0.5, 2.0),
+            epsilon=(1e-5, 1e-3), q=(2, 4), k=(1, 3),
+        )
+        train, val, fit_part = self.parts()
+        ci.grid_search(fit_part, val, tag, grids)
+        plane = 3 * 2 if tag == "cidg" else 1
+        assert calls["factor_pencil"] == 3 * 2
+        assert calls["solve_plane"] == [plane] * (3 * 2)
+        assert calls["solve"] == 0
 
     def test_unknown_method(self):
         train, val, fit_part = self.parts()

@@ -114,7 +114,8 @@ class TestScatterOracles:
         for data in self.params():
             Kc = linear_centered_gram(data)
             w = ci.build_weights(ci.group_index(data))
-            got = ci.conditional_scatter(Kc, w)
+            G = ci.conditional_scatter(Kc, w)
+            got = G @ G.T
             xc = centered(data.features)
             want = oracles.lift(
                 xc, oracles.conditional_scatter_explicit(xc, data.labels, data.domains)
@@ -125,7 +126,8 @@ class TestScatterOracles:
         for data in self.params():
             Kc = linear_centered_gram(data)
             w = ci.build_weights(ci.group_index(data))
-            got = ci.prior_scatter(Kc, w)
+            G = ci.prior_scatter(Kc, w)
+            got = G @ G.T
             xc = centered(data.features)
             want = oracles.lift(
                 xc, oracles.prior_scatter_explicit(xc, data.labels, data.domains)
@@ -156,8 +158,8 @@ class TestScatterOracles:
         Kc = linear_centered_gram(data)
         w = ci.build_weights(ci.group_index(data))
         ss = ci.scatter_set(Kc, w)
-        assert np.array_equal(ss.conditional, ci.conditional_scatter(Kc, w))
-        assert np.array_equal(ss.prior, ci.prior_scatter(Kc, w))
+        assert np.array_equal(ss.conditional_factor, ci.conditional_scatter(Kc, w))
+        assert np.array_equal(ss.prior_factor, ci.prior_scatter(Kc, w))
         assert np.array_equal(ss.between_factor, ci.between_scatter(Kc, w))
         assert np.array_equal(ss.within, ci.within_scatter(Kc, w))
 

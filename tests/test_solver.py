@@ -4,13 +4,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import condinv as ci
 from condinv.kernel import CenteringStats
 from condinv.scatter import ScatterSet
-from condinv.solver import SolverError, projection_basis
+from condinv.solver import SolverError, factor_pencil, projection_basis, solve_plane
 import oracles
 from conftest import random_dataset
 
@@ -24,10 +24,10 @@ def fit_scatters(data):
 
 
 def diagonal_scatters(p_diag, n):
-    z = np.zeros((n, n))
+    z = np.zeros((n, 0))
     return ScatterSet(
-        conditional=z,
-        prior=z,
+        conditional_factor=z,
+        prior_factor=z,
         between_factor=np.diag(np.sqrt(np.asarray(p_diag, float))),
         within=np.eye(n),
     )
@@ -88,17 +88,19 @@ class TestSolveDiagonal:
     def test_relative_epsilon_scales_with_within(self):
         # doubling the within scatter doubles the ridge actually applied
         a = ci.solve(diagonal_scatters([4.0, 1.0], 2), ci.SolverConfig(q=1, epsilon=1e-4))
-        z = np.zeros((2, 2))
+        z = np.zeros((2, 0))
         doubled = ScatterSet(
-            conditional=z, prior=z, between_factor=np.diag([2.0, 1.0]), within=2.0 * np.eye(2)
+            conditional_factor=z, prior_factor=z, between_factor=np.diag([2.0, 1.0]),
+            within=2.0 * np.eye(2),
         )
         b = ci.solve(doubled, ci.SolverConfig(q=1, epsilon=1e-4))
         assert b.effective_epsilon == pytest.approx(2.0 * a.effective_epsilon)
 
     def test_zero_within_falls_back_to_absolute(self):
-        z = np.zeros((2, 2))
+        z = np.zeros((2, 0))
         scatters = ScatterSet(
-            conditional=z, prior=z, between_factor=np.diag(np.sqrt([1.0, 0.5])), within=z
+            conditional_factor=z, prior_factor=z, between_factor=np.diag(np.sqrt([1.0, 0.5])),
+            within=np.zeros((2, 2)),
         )
         model = ci.solve(scatters, ci.SolverConfig(q=1, epsilon=1e-3))
         assert model.effective_epsilon == pytest.approx(1e-3)
@@ -181,12 +183,12 @@ class TestSolveRandom:
 def factored_pencils(draw):
     """A random definite pencil with a rank-r factored numerator, and q.
 
-    D's three summands are random PSD matrices plus a full-rank within
-    term. F = L_D H for a random H with prescribed, well-separated
-    singular values, so the pencil's positive eigenvalues are their
-    squares and every eigenvector is well determined. An optional extra
-    column repeats a combination of the others, as the between-class
-    factor's C columns have rank C - 1.
+    D's three summands are random PSD matrices, the conditional and prior
+    ones given by their factors, plus a full-rank within term. F = L_D H
+    for a random H with prescribed, well-separated singular values, so the
+    pencil's positive eigenvalues are their squares and every eigenvector
+    is well determined. An optional extra column repeats a combination of
+    the others, as the between-class factor's C columns have rank C - 1.
     """
     n = draw(st.integers(5, 12))
     r = draw(st.integers(1, 4))
@@ -196,14 +198,14 @@ def factored_pencils(draw):
     alpha = draw(st.floats(0.0, 3.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def psd(rank):
-        A = rng.normal(size=(n, rank))
-        return A @ A.T / rank
+    def factor(rank):
+        return rng.normal(size=(n, rank)) / np.sqrt(rank)
 
-    conditional, prior, within = psd(3), psd(2), psd(2 * n)
+    conditional, prior, within = factor(3), factor(2), factor(2 * n)
+    within = within @ within.T
     cfg = ci.SolverConfig(gamma=gamma, alpha=alpha, epsilon=1e-5, q=q)
     eff_eps = cfg.epsilon * float(np.mean(np.diag(within)))
-    D = gamma * conditional + alpha * prior + within + eff_eps * np.eye(n)
+    D = gamma * conditional @ conditional.T + alpha * prior @ prior.T + within + eff_eps * np.eye(n)
     ratios = rng.uniform(0.2, 0.8, size=r - 1)
     sigma = 10.0 ** rng.uniform(-2, 2) * np.cumprod(np.concatenate([[1.0], ratios]))
     U = np.linalg.qr(rng.normal(size=(n, r)))[0]
@@ -212,6 +214,35 @@ def factored_pencils(draw):
     if dependent:
         F = np.hstack([F, F @ rng.normal(size=(r, 1))])
     return ScatterSet(conditional, prior, F, within), cfg
+
+
+@st.composite
+def pencil_planes(draw):
+    """Random factored scatters and a (gamma, alpha) plane over them.
+
+    The within term is a random SPD matrix; the conditional, prior and
+    between factors have 1 to 4 random columns each (the between one
+    optionally with a dependent extra column). gamma and alpha include 0,
+    and q lies both below and above the between factor's rank.
+    """
+    n = draw(st.integers(5, 12))
+    ranks = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    q = draw(st.integers(1, min(6, n)))
+    weight = st.sampled_from([0.0, 0.1, 1.0]) | st.floats(0.0, 3.0)
+    plane = draw(st.lists(st.tuples(weight, weight), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conditional, prior, between = (rng.normal(size=(n, r)) / np.sqrt(r) for r in ranks)
+    if draw(st.booleans()):
+        between = np.hstack([between, between @ rng.normal(size=(ranks[2], 1))])
+    A = rng.normal(size=(n, 2 * n)) / np.sqrt(2 * n)
+    return ScatterSet(conditional, prior, between, A @ A.T), plane, q
+
+
+def _relative_gap(lam):
+    # smallest distance between the kept eigenvalues, or from the smallest
+    # to zero, relative to the largest; an eigenvector's error is about
+    # machine precision divided by this gap
+    return np.abs(np.diff(np.concatenate([lam, [0.0]]))).min() / lam[0]
 
 
 class TestSolveMatchesDenseOracle:
@@ -226,6 +257,49 @@ class TestSolveMatchesDenseOracle:
         assert np.allclose(model.eigenvalues, lam, rtol=1e-9, atol=0.0)
         scale = np.abs(vecs).max()
         assert np.allclose(model.coefficients, vecs, rtol=0.0, atol=1e-8 * scale)
+
+
+class TestSolvePlane:
+    @settings(max_examples=200, deadline=None)
+    @given(pencil_planes())
+    def test_plane_matches_dense_eigh(self, case):
+        scatters, plane, q = case
+        factor = factor_pencil(scatters, 1e-5)
+        models = solve_plane(factor, plane, q)
+        assert len(models) == len(plane)
+        for (gamma, alpha), model in zip(plane, models):
+            cfg = ci.SolverConfig(gamma=gamma, alpha=alpha, epsilon=1e-5, q=q)
+            lam, vecs, warnings = oracles.pencil_eig_dense(scatters, cfg)
+            assume(lam.size and _relative_gap(lam) > 1e-3)
+            assert model.n_components == lam.size
+            assert model.warnings == warnings
+            assert (model.gamma, model.alpha) == (gamma, alpha)
+            assert model.effective_epsilon == factor.effective_epsilon
+            assert np.allclose(model.eigenvalues, lam, rtol=1e-9, atol=0.0)
+            scale = np.abs(vecs).max()
+            assert np.allclose(model.coefficients, vecs, rtol=0.0, atol=1e-8 * scale)
+
+    def test_each_point_equals_its_own_solve(self):
+        for data in TestSolveRandom().instances():
+            scatters, _, _ = fit_scatters(data)
+            plane = [(g, a) for g in (0.0, 0.1, 1.0, 10.0) for a in (0.0, 0.5, 2.0)]
+            models = solve_plane(factor_pencil(scatters, 1e-4), plane, 4)
+            for (gamma, alpha), got in zip(plane, models):
+                want = ci.solve(scatters, ci.SolverConfig(gamma, alpha, epsilon=1e-4, q=4))
+                assert got.warnings == want.warnings
+                assert got.effective_epsilon == want.effective_epsilon
+                assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0.0)
+                scale = np.abs(want.coefficients).max()
+                assert np.allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-12 * scale)
+
+    def test_point_failures_are_returned_in_place(self):
+        # a zero between factor at one point cannot be told apart from the
+        # others by the factorization; every point reports the error solve raises
+        models = solve_plane(factor_pencil(diagonal_scatters([0.0, 0.0], 2), 1e-5), [(0, 0)] * 2, 1)
+        assert [str(m) for m in models] == [
+            "no positive eigenvalues: the between-class scatter is zero"
+        ] * 2
+        assert all(isinstance(m, SolverError) for m in models)
 
 
 class TestProjectionModel:
@@ -288,6 +362,25 @@ class TestProject:
             [ci.project(model, batch[i : i + 1], mode="standard") for i in range(50)]
         )
         assert np.abs(alone - together).max() <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["paper", "standard"])
+    def test_row_permutation_permutes_output(self, rng, mode):
+        # in both modes a batch's coordinates do not depend on its row order
+        _, model = self.fitted(rng)
+        batch = rng.normal(size=(40, 3)) + 1.0
+        perm = rng.permutation(40)
+        got = ci.project(model, batch[perm], mode=mode)
+        want = ci.project(model, batch, mode=mode)[perm]
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_paper_mode_depends_on_the_batch(self, rng):
+        # paper centering sums over the projected batch: the same rows
+        # projected in a larger batch move, unlike standard mode's
+        _, model = self.fitted(rng)
+        batch = rng.normal(size=(40, 3)) + 1.0
+        alone = ci.project(model, batch[:5], mode="paper")
+        inside = ci.project(model, batch, mode="paper")[:5]
+        assert np.abs(alone - inside).max() > 1e-6
 
     def test_requires_kernel_context(self):
         model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), ci.SolverConfig(q=1))
