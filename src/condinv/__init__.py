@@ -24,7 +24,6 @@ from .dataset import (
 )
 from .kernel import (
     CenteringStats,
-    GramPair,
     KernelError,
     KernelSpec,
     center_cross,

@@ -140,25 +140,11 @@ def _cmd_run(args) -> int:
 def _cmd_grid(args) -> int:
     config = config_from_file(args.config)
     _, val, fit_part = repetition_parts(config, args.repetition)
-    tree = {}
-    for tag in config.methods:
-        chosen = grid_search(
-            fit_part,
-            val,
-            tag,
-            config.grids,
-            kernel=config.kernel,
-            cross_centering=config.cross_centering,
-        )
-        tree[tag] = {
-            "bandwidth_scale": chosen.bandwidth_scale,
-            "gamma": chosen.gamma,
-            "alpha": chosen.alpha,
-            "epsilon": chosen.epsilon,
-            "q": chosen.q,
-            "k": chosen.k,
-            "validation_accuracy": chosen.validation_accuracy,
-        }
+    tree = {
+        tag: grid_search(fit_part, val, tag, config.grids, kernel=config.kernel,
+                         cross_centering=config.cross_centering).to_dict()
+        for tag in config.methods
+    }
     text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -59,7 +59,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -196,6 +196,12 @@ class ChosenParams:
     k: int = 1
     validation_accuracy: float = 0.0
     warnings: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        """The chosen parameters and validation accuracy, without the warnings."""
+        tree = asdict(self)
+        del tree["warnings"]
+        return tree
 
 
 @dataclass(frozen=True)
@@ -379,6 +385,36 @@ def _resolve_domain_ids(data: LabeledDataset, requested, side: str) -> tuple[int
     return tuple(ids)
 
 
+def _source_target(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """The configured dataset's source-domain and target-domain rows."""
+    data = load_dataset(config)
+    source_ids = _resolve_domain_ids(data, config.source_domains, "source")
+    target_ids = _resolve_domain_ids(data, config.target_domains, "target")
+    source = data.subset_domains(list(source_ids))
+    target = data.subset_domains(list(target_ids))
+    if source.n == 0 or target.n == 0:
+        raise HarnessError("source or target selection is empty")
+    return source, target
+
+
+def _repetition_splits(config: ExperimentConfig, source: LabeledDataset, repetition: int):
+    """Repetition r's (train, validation, fit) splits of the source rows.
+
+    Both splits draw from seed = config.seed + r; the fourth entry holds
+    their warnings.
+    """
+    seed = config.seed + repetition
+    train_split = split(source, config.train_fraction, seed=seed)
+    val_split = split(train_split.first, config.validation_fraction, seed=seed)
+    warnings = tuple(train_split.warnings) + tuple(val_split.warnings)
+    return train_split.first, val_split.first, val_split.second, warnings
+
+
+def _check_repetition(repetition: int, repetitions: int) -> None:
+    if not 0 <= repetition < repetitions:
+        raise HarnessError(f"repetition {repetition} out of range 0..{repetitions - 1}")
+
+
 # --- grid search -----------------------------------------------------------
 
 def _method_axes(tag: str, grids: Grids):
@@ -490,6 +526,10 @@ def grid_search(
         fitted = [((None, None, None, None), [(None, train.features, val.features)])]
     else:
         q_values = grids.resolve_q(train.n, len(train.class_ids), len(train.domain_ids))
+        if not q_values:
+            raise HarnessError(
+                f"{method_tag} needs at least 2 fit rows to project, got {train.n}"
+            )
         fitted = _fitted_points(
             train, val, method_tag, (scales, gammas, alphas, epsilons), q_values,
             kernel, cross_centering, failures,
@@ -517,10 +557,7 @@ def grid_search(
 
 
 def _fit_chosen(
-    method_tag: str,
-    chosen: ChosenParams,
-    train: LabeledDataset,
-    kernel: KernelSpec,
+    method_tag: str, chosen: ChosenParams, train: LabeledDataset, kernel: KernelSpec
 ) -> ProjectionModel | None:
     """Refit the selected parameters on a training set (fresh median)."""
     if method_tag == "raw_knn":
@@ -536,56 +573,26 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     Returns per-repetition accuracies and selections; see the module
     docstring for the exact protocol.
     """
-    data = load_dataset(config)
-    source_ids = _resolve_domain_ids(data, config.source_domains, "source")
-    target_ids = _resolve_domain_ids(data, config.target_domains, "target")
-    source = data.subset_domains(list(source_ids))
-    target = data.subset_domains(list(target_ids))
-    if source.n == 0 or target.n == 0:
-        raise HarnessError("source or target selection is empty")
-
+    source, target = _source_target(config)
     per_method: dict[str, list[RepetitionResult]] = {m: [] for m in config.methods}
     for r in range(config.repetitions):
-        seed = config.seed + r
-        train_split = split(source, config.train_fraction, seed=seed)
-        train = train_split.first
-        val_split = split(train, config.validation_fraction, seed=seed)
-        val, fit_part = val_split.first, val_split.second
-        split_warnings = tuple(train_split.warnings) + tuple(val_split.warnings)
-
+        train, val, fit_part, split_warnings = _repetition_splits(config, source, r)
         for tag in config.methods:
-            chosen = grid_search(
-                fit_part,
-                val,
-                tag,
-                config.grids,
-                kernel=config.kernel,
-                cross_centering=config.cross_centering,
-            )
+            chosen = grid_search(fit_part, val, tag, config.grids, kernel=config.kernel,
+                                 cross_centering=config.cross_centering)
             model = _fit_chosen(tag, chosen, train, config.kernel)
             warnings = split_warnings + chosen.warnings
             if model is None:
-                train_proj = train.features
-                target_proj = target.features
+                train_proj, target_proj = train.features, target.features
             else:
                 train_proj = project(model, train.features, mode="paper")
-                target_proj = project(
-                    model, target.features, mode=config.cross_centering
-                )
+                target_proj = project(model, target.features, mode=config.cross_centering)
                 warnings += model.warnings
-            acc = accuracy(
-                knn_predict(train_proj, train.labels, target_proj, chosen.k),
-                target.labels,
-            )
-            per_method[tag].append(
-                RepetitionResult(
-                    repetition=r,
-                    seed=seed,
-                    accuracy=acc,
-                    chosen=chosen,
-                    warnings=warnings,
-                )
-            )
+            predicted = knn_predict(train_proj, train.labels, target_proj, chosen.k)
+            per_method[tag].append(RepetitionResult(
+                repetition=r, seed=config.seed + r, accuracy=accuracy(predicted, target.labels),
+                chosen=chosen, warnings=warnings,
+            ))
 
     return ResultRecord(
         source_domains=tuple(config.source_domains),
@@ -603,18 +610,8 @@ def repetition_parts(
     config: ExperimentConfig, repetition: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """One repetition's (train, validation, fit) source-domain splits."""
-    if not 0 <= repetition < config.repetitions:
-        raise HarnessError(
-            f"repetition {repetition} out of range 0..{config.repetitions - 1}"
-        )
-    data = load_dataset(config)
-    source = data.subset_domains(
-        list(_resolve_domain_ids(data, config.source_domains, "source"))
-    )
-    seed = config.seed + repetition
-    train = split(source, config.train_fraction, seed=seed).first
-    val_split = split(train, config.validation_fraction, seed=seed)
-    return train, val_split.first, val_split.second
+    _check_repetition(repetition, config.repetitions)
+    return _repetition_splits(config, _source_target(config)[0], repetition)[:3]
 
 
 def refit_repetition(
@@ -626,15 +623,8 @@ def refit_repetition(
     refits each kernel method's chosen parameters; raw_knn has no model
     and is skipped.
     """
-    if not 0 <= repetition < record.repetitions:
-        raise HarnessError(
-            f"repetition {repetition} out of range 0..{record.repetitions - 1}"
-        )
-    data = load_dataset(config)
-    source = data.subset_domains(
-        list(_resolve_domain_ids(data, config.source_domains, "source"))
-    )
-    train = split(source, config.train_fraction, seed=config.seed + repetition).first
+    _check_repetition(repetition, record.repetitions)
+    train = _repetition_splits(config, _source_target(config)[0], repetition)[0]
     models: dict[str, ProjectionModel] = {}
     for m in record.methods:
         if m.method == "raw_knn":
@@ -647,18 +637,6 @@ def refit_repetition(
 
 
 # --- reports ---------------------------------------------------------------
-
-def _chosen_dict(c: ChosenParams) -> dict:
-    return {
-        "bandwidth_scale": c.bandwidth_scale,
-        "gamma": c.gamma,
-        "alpha": c.alpha,
-        "epsilon": c.epsilon,
-        "q": c.q,
-        "k": c.k,
-        "validation_accuracy": c.validation_accuracy,
-    }
-
 
 def report_json(record: ResultRecord) -> str:
     """Deterministic machine-readable report (no timestamps, sorted keys)."""
@@ -678,7 +656,7 @@ def report_json(record: ResultRecord) -> str:
                         "repetition": r.repetition,
                         "seed": r.seed,
                         "accuracy": r.accuracy,
-                        "chosen": _chosen_dict(r.chosen),
+                        "chosen": r.chosen.to_dict(),
                         "warnings": list(r.warnings),
                     }
                     for r in m.repetitions

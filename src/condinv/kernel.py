@@ -51,16 +51,6 @@ class KernelSpec:
         return not isinstance(self.bandwidth, str)
 
 
-@dataclass(frozen=True)
-class GramPair:
-    """Training Gram matrix and optional cross kernel, with centering state."""
-
-    train: np.ndarray
-    cross: np.ndarray | None = None
-    train_centered: bool = False
-    cross_centered: bool = False
-
-
 def median_bandwidth(features: np.ndarray, max_points: int = 1000, seed: int = 0) -> float:
     """Median pairwise Euclidean distance over a seeded subsample.
 

@@ -54,8 +54,6 @@ class WeightSet:
     """
 
     n: int
-    n_domains: int
-    n_classes: int
     class_domain: Mapping[tuple[int, int], np.ndarray]
     class_mean: Mapping[int, np.ndarray]
     prior_normalized: Mapping[int, np.ndarray]
@@ -84,7 +82,7 @@ def build_weights(groups: GroupIndex, lenient: bool = False) -> WeightSet:
     """
     domains = groups.domain_ids
     classes = groups.class_ids
-    n, m, C = groups.n, len(domains), len(classes)
+    n, m = groups.n, len(domains)
     missing = [(s, j) for s in domains for j in classes if (s, j) not in groups.index_of]
     adjustments: list[str] = []
     if missing and not lenient:
@@ -141,8 +139,6 @@ def build_weights(groups: GroupIndex, lenient: bool = False) -> WeightSet:
     uniform = _vec(n, [(np.arange(n), 1.0 / n)])
     return WeightSet(
         n=n,
-        n_domains=m,
-        n_classes=C,
         class_domain=class_domain,
         class_mean=class_mean,
         prior_normalized=prior_normalized,
@@ -183,11 +179,6 @@ def _check_k(K: np.ndarray, n: int) -> np.ndarray:
     if K.shape != (n, n):
         raise ScatterError(f"Gram matrix shape {K.shape} does not match n={n}")
     return K
-
-
-def _symmetrize(S: np.ndarray) -> np.ndarray:
-    # guards against accumulation asymmetry at the 1e-16 scale
-    return (S + S.T) / 2.0
 
 
 def conditional_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
@@ -239,13 +230,16 @@ def within_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
     M is the identity minus the block-diagonal class-averaging matrix
     (1/n_j on each class-j block). M is symmetric and idempotent, so
     K M K = (K M)(K M)', where K M is K less each class's mean column.
+    NumPy forms a product with its own transpose by one symmetric rank-k
+    update, which fills both triangles from one, so the result is exactly
+    symmetric.
     """
     K = _check_k(K, w.n)
     KM = K.copy()
     for cj in w.class_total.values():
         idx = np.flatnonzero(cj)
         KM[:, idx] -= K[:, idx].mean(axis=1, keepdims=True)
-    return _symmetrize(KM @ KM.T)
+    return KM @ KM.T
 
 
 @dataclass(frozen=True)
@@ -253,22 +247,16 @@ class ScatterSet:
     """The scatters used by the eigensolver.
 
     Each *_factor is an n x r matrix G whose scatter is G @ G.T; the
-    properties of the same name without the suffix expand it. An n x 0
-    factor stands for a zero scatter.
+    solver works on the factors and never expands them. An n x 0 factor
+    stands for a zero scatter. Only between keeps an expanding property,
+    because perfbench's tracer (perfbench/tracing.py) reads the scatter's
+    size from it; tests expand any factor themselves.
     """
 
     conditional_factor: np.ndarray
     prior_factor: np.ndarray
     between_factor: np.ndarray
     within: np.ndarray
-
-    @property
-    def conditional(self) -> np.ndarray:
-        return self.conditional_factor @ self.conditional_factor.T
-
-    @property
-    def prior(self) -> np.ndarray:
-        return self.prior_factor @ self.prior_factor.T
 
     @property
     def between(self) -> np.ndarray:

@@ -201,6 +201,11 @@ def knn_loop(train_feats, train_labels, test_feats, k):
     return out
 
 
+def expand(G):
+    """The scatter G @ G.T that an n x r factor G stands for."""
+    return G @ G.T
+
+
 def pencil_eig_dense(scatters, config):
     """The dense generalized eigensolve the factored solver replaced.
 
@@ -209,13 +214,13 @@ def pencil_eig_dense(scatters, config):
     relative tolerance, sign rule and residual screen. Returns
     (eigenvalues, coefficients, warnings).
     """
-    P = scatters.between
+    P = expand(scatters.between_factor)
     n = P.shape[0]
     scale = float(np.mean(np.diag(scatters.within)))
     eff_eps = config.epsilon * (scale if scale > 0 else 1.0)
     D = (
-        config.gamma * scatters.conditional
-        + config.alpha * scatters.prior
+        config.gamma * expand(scatters.conditional_factor)
+        + config.alpha * expand(scatters.prior_factor)
         + scatters.within
         + eff_eps * np.eye(n)
     )

@@ -216,10 +216,12 @@ def test_oracle_equivalence():
         w = ci.build_weights(ci.group_index(data))
         ss = ci.scatter_set(Kc, w)
         xc = data.features - data.features.mean(axis=0)
+        expand = oracles.expand
         pairs = (
-            (ss.conditional, oracles.conditional_scatter_explicit(xc, data.labels, data.domains)),
-            (ss.prior, oracles.prior_scatter_explicit(xc, data.labels, data.domains)),
-            (ss.between, oracles.between_scatter_explicit(xc, data.labels)),
+            (expand(ss.conditional_factor),
+             oracles.conditional_scatter_explicit(xc, data.labels, data.domains)),
+            (expand(ss.prior_factor), oracles.prior_scatter_explicit(xc, data.labels, data.domains)),
+            (expand(ss.between_factor), oracles.between_scatter_explicit(xc, data.labels)),
             (ss.within, oracles.within_scatter_explicit(xc, data.labels)),
         )
         for got, explicit in pairs:
@@ -257,12 +259,12 @@ def test_eigen_solution_validity():
         model = ci.solve(ss, cfg)
         B, lam = model.coefficients, model.eigenvalues
         D = (
-            cfg.gamma * ss.conditional
-            + cfg.alpha * ss.prior
+            cfg.gamma * oracles.expand(ss.conditional_factor)
+            + cfg.alpha * oracles.expand(ss.prior_factor)
             + ss.within
             + model.effective_epsilon * np.eye(data.n)
         )
-        PB = ss.between @ B
+        PB = oracles.expand(ss.between_factor) @ B
         residual = np.linalg.norm(PB - D @ B * lam[None, :], axis=0)
         bound = 1e-6 * np.maximum(np.linalg.norm(PB, axis=0), 1e-12)
         assert np.all(residual <= bound), f"instance {trial}: residual {residual} > {bound}"

@@ -167,6 +167,19 @@ class TestGrid:
         tree = json.loads(out.read_text())
         assert set(tree) == {"raw_knn", "cidg"}
 
+    def test_winners_match_the_report(self, tmp_path, capsys):
+        # grid --repetition r re-derives repetition r's splits and winners,
+        # which run records in report.json
+        config = write_config(tmp_path, methods=["raw_knn", "kpca", "cidg"], repetitions=2)
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        for r in (0, 1):
+            capsys.readouterr()
+            assert main(["grid", "--config", str(config), "--repetition", str(r)]) == 0
+            winners = json.loads(capsys.readouterr().out)
+            recorded = {m["method"]: m["repetitions"][r]["chosen"] for m in report["methods"]}
+            assert winners == recorded
+
     def test_out_of_range_repetition(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main(["grid", "--config", str(config), "--repetition", "5"])
@@ -275,6 +288,25 @@ class TestErrorReporting:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grids.") and err.count("\n") == 1
+
+    def test_one_row_fit_part_is_one_error_line(self, tmp_path, capsys):
+        # three source rows of one (domain, class) group split into a
+        # one-row fit part, on which kpca has no component to keep
+        (tmp_path / "data.csv").write_text(
+            "x1,x2,label,domain\n0.1,0.2,a,s\n0.3,0.1,a,s\n0.2,0.4,a,s\n1.0,1.1,a,t\n"
+        )
+        config = tmp_path / "experiment.yaml"
+        config.write_text(yaml.safe_dump({
+            "version": 1,
+            "dataset": {"csv": "data.csv"},
+            "experiment": {"source_domains": ["s"], "target_domains": ["t"],
+                           "methods": ["kpca"], "repetitions": 1},
+            "kernel": {"bandwidth": 1.0},
+        }))
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kpca needs at least 2 fit rows") and err.count("\n") == 1
 
     def test_value_error_from_the_library_propagates(self, tmp_path, monkeypatch):
         # a bare ValueError is a programming error, not a diagnosed failure

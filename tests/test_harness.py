@@ -422,6 +422,18 @@ class TestGridSearch:
         with pytest.raises(HarnessError, match="unknown method"):
             ci.grid_search(fit_part, val, "boost", ci.Grids())
 
+    @pytest.mark.parametrize("tag", ["kpca", "kfda", "cidg"])
+    def test_one_fit_row_leaves_no_q(self, tag):
+        # q ranges over 1..n-1, which is empty for one fit row; raw_knn
+        # still classifies with k = 1
+        one = ci.LabeledDataset(np.zeros((1, 2)), np.array([1]), np.array([1]))
+        val = ci.LabeledDataset(np.ones((2, 2)), np.array([1, 1]), np.array([1, 1]))
+        grids = ci.Grids(bandwidth_scale=(1.0,), gamma=(1.0,), alpha=(1.0,), k=(1, 3))
+        kernel = ci.KernelSpec(bandwidth=1.0)
+        with pytest.raises(HarnessError, match=f"{tag} needs at least 2 fit rows to project, got 1"):
+            ci.grid_search(one, val, tag, grids, kernel=kernel)
+        assert ci.grid_search(one, val, "raw_knn", grids, kernel=kernel).k == 1
+
 
 class TestRunExperiment:
     def test_record_shape_and_methods(self):

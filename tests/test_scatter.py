@@ -170,10 +170,21 @@ class TestScatterProperties:
         Kc = linear_centered_gram(data)
         w = ci.build_weights(ci.group_index(data))
         ss = ci.scatter_set(Kc, w)
-        for S in (ss.conditional, ss.prior, ss.between, ss.within):
+        factors = (ss.conditional_factor, ss.prior_factor, ss.between_factor)
+        for S in (*map(oracles.expand, factors), ss.within):
             S = np.asarray(S)
             assert np.allclose(S, S.T, atol=1e-12)
             assert np.linalg.eigvalsh(S).min() > -1e-8
+
+    @pytest.mark.parametrize("n", [5, 37, 150, 600])
+    def test_within_is_exactly_symmetric(self, n):
+        # NumPy forms a product with its own transpose by one symmetric
+        # rank-k update, so within_scatter needs no averaging with W.T
+        data = random_dataset(np.random.default_rng(n), n_domains=2, n_classes=2, n=n)
+        spec = ci.KernelSpec(bandwidth=ci.median_bandwidth(data.features))
+        Kc = ci.center_train(ci.gram(data.features, data.features, spec))
+        W = ci.within_scatter(Kc, ci.build_weights(ci.group_index(data)))
+        assert np.array_equal(W, W.T)
 
     def test_single_domain_zeroes_invariance_scatters(self, make_dataset):
         data = make_dataset(n_domains=1, n_classes=3, n=12)

@@ -128,14 +128,15 @@ class TestSolveRandom:
             model = ci.solve(scatters, cfg)
             B, lam = model.coefficients, model.eigenvalues
             D = (
-                cfg.gamma * scatters.conditional
-                + cfg.alpha * scatters.prior
+                cfg.gamma * oracles.expand(scatters.conditional_factor)
+                + cfg.alpha * oracles.expand(scatters.prior_factor)
                 + scatters.within
                 + model.effective_epsilon * np.eye(data.n)
             )
             assert np.allclose(B.T @ D @ B, np.eye(model.n_components), atol=1e-6)
-            res = scatters.between @ B - D @ B * lam[None, :]
-            norms = np.linalg.norm(scatters.between @ B, axis=0)
+            P = oracles.expand(scatters.between_factor)
+            res = P @ B - D @ B * lam[None, :]
+            norms = np.linalg.norm(P @ B, axis=0)
             assert np.all(np.linalg.norm(res, axis=0) <= 1e-6 * np.maximum(norms, 1e-12))
 
     def test_eigenvalues_descend_and_are_positive(self):
