@@ -48,7 +48,6 @@ from .scatter import (
 )
 from .solver import (
     ProjectionModel,
-    SolverConfig,
     SolverError,
     default_q,
     load_model,

@@ -42,7 +42,6 @@ from .scatter import (
 )
 from .solver import (
     ProjectionModel,
-    SolverConfig,
     SolverError,
     _truncate,
     _truncation_warning,
@@ -61,12 +60,11 @@ class ClassifyError(ValueError):
 
 @dataclass(frozen=True)
 class Method:
-    """A method tag plus its hyperparameters.
+    """A method tag plus the parameters of its pencil.
 
     gamma/alpha apply to cidg only; epsilon to cidg, kfda and
     dica_marginal; q to every projection method (None picks
-    min(n - 1, classes * domains) at fit time); k is the neighbor count of
-    the classification head.
+    min(n - 1, classes * domains) at fit time).
     """
 
     tag: str
@@ -74,7 +72,6 @@ class Method:
     alpha: float = 1.0
     epsilon: float = 1e-5
     q: int | None = None
-    k: int = 1
 
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
@@ -85,8 +82,6 @@ class Method:
             raise ClassifyError("epsilon must be > 0")
         if self.q is not None and self.q < 1:
             raise ClassifyError("q must be >= 1")
-        if self.k < 1:
-            raise ClassifyError("k must be >= 1")
 
 
 def knn_votes(
@@ -171,35 +166,25 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(p == t))
 
 
-def _kpca_model(
-    Kc: np.ndarray,
-    q: int,
-    spec: KernelSpec,
-    feats: np.ndarray,
-    stats: CenteringStats,
-    eig_tolerance: float = 1e-10,
-) -> ProjectionModel:
+def _kpca(Kc: np.ndarray, q: int) -> ProjectionModel:
+    """Top q components of the centered Gram matrix, as a bare model."""
     import scipy.linalg
 
     n = Kc.shape[0]
     lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
     order = np.argsort(-lam, kind="stable")
     lam, vecs = lam[order], vecs[:, order]
-    kept = int(_truncate(lam[None], vecs[None], q, eig_tolerance)[0])
+    kept = int(_truncate(lam[None], vecs[None], q)[0])
     if kept == 0:
         raise SolverError("centered Gram matrix has no positive eigenvalues")
-    lam, vecs, warnings = lam[:kept], vecs[:, :kept], _truncation_warning(q, kept)
     return ProjectionModel(
-        coefficients=vecs,
-        eigenvalues=lam,
+        coefficients=vecs[:, :kept],
+        eigenvalues=lam[:kept],
         gamma=0.0,
         alpha=0.0,
         effective_epsilon=0.0,
         requested_q=q,
-        warnings=warnings,
-        kernel_spec=spec,
-        training_features=feats,
-        centering=stats,
+        warnings=_truncation_warning(q, kept),
     )
 
 
@@ -210,10 +195,10 @@ class PreparedFit:
     Everything here is fixed once the method tag, the training set and the
     bandwidth are: the resolved kernel, the centered Gram matrix Kc and its
     centering statistics, and (for the pencil methods) the scatter
-    matrices. fit_prepared adds gamma, alpha, epsilon and q, so one
+    matrices. fit_plane adds gamma, alpha, epsilon and q, so one
     PreparedFit serves every point of a (gamma, alpha, epsilon, q) grid.
     The training coordinates of any model fitted from it are
-    Kc.T @ projection_basis(model), equal to project(model, features).
+    Kc.T @ projection_basis(model), as project computes them.
     """
 
     tag: str
@@ -235,7 +220,8 @@ def prepare_fit(
     """Kernel, centering and scatters for fitting method ``tag`` on train.
 
     The bandwidth is resolved on the training features when the spec
-    carries the "median" sentinel.
+    carries the "median" sentinel. Only cidg reads per-(domain, class)
+    weights, so only cidg needs every class in every domain (or lenient).
     """
     if tag == "raw_knn":
         raise ClassifyError("raw_knn has no projection model to fit")
@@ -250,21 +236,23 @@ def prepare_fit(
     q = default_q(train.n, len(groups.per_class), len(groups.per_domain))
     if tag == "kpca":
         return PreparedFit(tag, spec, X, stats, Kc, q)
-    weights = build_weights(groups, lenient=lenient)
     if tag == "cidg":
-        scatters = scatter_set(Kc, weights)
-    else:
-        # only the scatters the method's pencil weighs: dica_marginal's
-        # domain scatter takes the prior's place, kfda has neither
-        none = np.zeros((train.n, 0))
-        scatters = ScatterSet(
-            conditional_factor=none,
-            prior_factor=domain_scatter(Kc, *uniform_domain_weights(groups))
-            if tag == "dica_marginal" else none,
-            between_factor=between_scatter(Kc, weights),
-            within=within_scatter(Kc, weights),
+        weights = build_weights(groups, lenient=lenient)
+        return PreparedFit(
+            tag, spec, X, stats, Kc, q, scatter_set(Kc, weights), weights.adjustments
         )
-    return PreparedFit(tag, spec, X, stats, Kc, q, scatters, weights.adjustments)
+    # only the scatters the method's pencil weighs: dica_marginal's domain
+    # scatter takes the prior's place, kfda has neither
+    weights = build_weights(groups, lenient=True)
+    none = np.zeros((train.n, 0))
+    scatters = ScatterSet(
+        conditional_factor=none,
+        prior_factor=domain_scatter(Kc, *uniform_domain_weights(groups))
+        if tag == "dica_marginal" else none,
+        between_factor=between_scatter(Kc, weights),
+        within=within_scatter(Kc, weights),
+    )
+    return PreparedFit(tag, spec, X, stats, Kc, q, scatters)
 
 
 def _checked_q(method: Method, prepared: PreparedFit) -> int:
@@ -285,46 +273,25 @@ def _pencil_weights(method: Method) -> tuple[float, float]:
     )
 
 
-def _with_adjustments(model: ProjectionModel, prepared: PreparedFit) -> ProjectionModel:
-    if prepared.adjustments:
-        model = replace(model, warnings=model.warnings + prepared.adjustments)
-    return model
-
-
-def fit_prepared(method: Method, prepared: PreparedFit) -> ProjectionModel:
-    """Solve for the projection of ``method`` on a prepare_fit result."""
-    q = _checked_q(method, prepared)
-    if method.tag == "kpca":
-        return _kpca_model(prepared.Kc, q, prepared.spec, prepared.features, prepared.centering)
-    gamma, alpha = _pencil_weights(method)
-    config = SolverConfig(gamma=gamma, alpha=alpha, epsilon=method.epsilon, q=q)
-    model = solve(prepared.scatters, config, kernel_spec=prepared.spec,
-                  training_features=prepared.features, centering=prepared.centering)
-    return _with_adjustments(model, prepared)
-
-
 def fit_plane(
     methods: Sequence[Method], prepared: PreparedFit
 ) -> list[ProjectionModel | SolverError]:
-    """fit_prepared for methods that differ only in gamma and alpha.
+    """Bare models for methods that differ only in gamma and alpha.
 
     The pencil methods share one factor_pencil and one stacked solve_plane
-    call. Returns one entry per method, in order: its model, or the
-    SolverError fit_prepared would raise for it alone. An error common to
-    every method (a failed factorization, an invalid q) is raised.
+    call; kpca, which has no gamma or alpha, solves once for all of them.
+    Returns one entry per method, in order: its model, or the SolverError
+    fit_baseline would raise for it alone. An error common to every method
+    (a failed factorization, an invalid q) is raised.
     """
     first = methods[0]
     if any((m.tag, m.epsilon, m.q) != (first.tag, first.epsilon, first.q) for m in methods):
         raise ClassifyError("a plane's methods must share their tag, epsilon and q")
     q = _checked_q(first, prepared)
     if first.tag == "kpca":
-        return [fit_prepared(m, prepared) for m in methods]
-    models = solve_plane(
-        factor_pencil(prepared.scatters, first.epsilon), [_pencil_weights(m) for m in methods],
-        q, kernel_spec=prepared.spec, training_features=prepared.features,
-        centering=prepared.centering,
-    )
-    return [m if isinstance(m, SolverError) else _with_adjustments(m, prepared) for m in models]
+        return [_kpca(prepared.Kc, q)] * len(methods)
+    factor = factor_pencil(prepared.scatters, first.epsilon)
+    return solve_plane(factor, [_pencil_weights(m) for m in methods], q)
 
 
 def fit_baseline(
@@ -336,8 +303,18 @@ def fit_baseline(
     """Fit the projection for any method except raw_knn.
 
     The bandwidth is resolved on the training features when the spec
-    carries the "median" sentinel, so the returned model is self-contained.
-    Equal to fit_prepared(method, prepare_fit(method.tag, train, spec,
-    lenient)).
+    carries the "median" sentinel. The model gets the resolved spec, the
+    training features and their centering, so it projects on its own, and
+    any lenient-weight adjustments as warnings.
     """
-    return fit_prepared(method, prepare_fit(method.tag, train, spec, lenient))
+    prepared = prepare_fit(method.tag, train, spec, lenient)
+    q = _checked_q(method, prepared)
+    if method.tag == "kpca":
+        model = _kpca(prepared.Kc, q)
+    else:
+        gamma, alpha = _pencil_weights(method)
+        model = solve(prepared.scatters, q, gamma, alpha, method.epsilon)
+    return replace(
+        model, warnings=model.warnings + prepared.adjustments, kernel_spec=prepared.spec,
+        training_features=prepared.features, centering=prepared.centering,
+    )

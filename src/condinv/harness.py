@@ -542,8 +542,9 @@ def grid_search(
             if not ks or train_proj.shape[1] == width:
                 continue  # same columns as the previous q: equal accuracy, never a strict win
             width = train_proj.shape[1]
-            for k, predicted in zip(ks, knn_votes(train_proj, train.labels, val_proj, ks)):
-                acc = accuracy(predicted, val.labels)
+            votes = knn_votes(train_proj, train.labels, val_proj, ks)
+            # a sum of 0/1 values is exact, so each equals accuracy(votes[i], labels)
+            for k, acc in zip(ks, (votes == val.labels).mean(axis=1).tolist()):
                 if best is None or acc > best.validation_accuracy:
                     best = ChosenParams(scale, gamma, alpha, epsilon, q, k, acc)
     if best is None:

@@ -41,9 +41,9 @@ eps * mean(diag(within)), falling back to eps alone when the within
 scatter has zero trace, so the same setting behaves comparably across
 kernel scales. The effective value is stored on the model.
 
-New samples are mapped by evaluating the kernel against the retained
-training features, centering the cross kernel, and applying
-B Lambda^{-1/2}; see project.
+solve and solve_plane return bare models. classify.fit_baseline attaches
+the kernel context with which project maps new samples: the kernel against
+the retained training features, centered, times B Lambda^{-1/2}.
 """
 
 from __future__ import annotations
@@ -59,38 +59,12 @@ from .scatter import ScatterSet
 
 
 class SolverError(ValueError):
-    """Invalid solver configuration or a failed eigensolve."""
+    """Invalid solver parameters or a failed eigensolve."""
 
 
+_EIG_TOLERANCE = 1e-10  # relative to the largest eigenvalue
 _RESIDUAL_REL = 1e-6
 _RESIDUAL_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Pencil weights and output dimension.
-
-    q=None means "let the fitting layer pick its default",
-    min(n - 1, classes * domains); the bare solver requires a concrete q.
-    eig_tolerance is relative to the largest eigenvalue; smaller
-    eigenvalues are discarded before the Lambda^{-1/2} scaling.
-    """
-
-    gamma: float = 1.0
-    alpha: float = 1.0
-    epsilon: float = 1e-5
-    q: int | None = None
-    eig_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.gamma < 0 or self.alpha < 0:
-            raise SolverError("gamma and alpha must be >= 0")
-        if not self.epsilon > 0:
-            raise SolverError("epsilon must be > 0")
-        if self.q is not None and self.q < 1:
-            raise SolverError("q must be >= 1")
-        if not self.eig_tolerance > 0:
-            raise SolverError("eig_tolerance must be > 0")
 
 
 def default_q(n: int, n_classes: int, n_domains: int) -> int:
@@ -105,8 +79,8 @@ class ProjectionModel:
     coefficients holds one column per kept component (descending
     eigenvalue, each column sign-fixed so its largest-magnitude entry is
     positive, normalized so B' D B = I). kernel_spec, training_features
-    and centering are present on models fitted from data and absent on
-    bare eigensolver output.
+    and centering are present on models from classify.fit_baseline or
+    load_model and absent on bare solve and solve_plane output.
     """
 
     coefficients: np.ndarray
@@ -149,20 +123,20 @@ class ProjectionModel:
         return int(self.coefficients.shape[0])
 
 
-def _truncate(lam, vecs, q, eig_tolerance):
+def _truncate(lam, vecs, q):
     """Sign rule and relative tolerance over a stack of descending spectra.
 
     lam is (P, r) with each row descending and vecs (P, n, r). Makes the
     largest-magnitude entry of every vector positive, in place, and returns
     per spectrum the number of leading pairs among the first q that are
-    positive and at least eig_tolerance times the largest (0 when none is
+    positive and at least _EIG_TOLERANCE times the largest (0 when none is
     positive).
     """
     P, _, r = vecs.shape
     picks = vecs[np.arange(P)[:, None], np.abs(vecs).argmax(axis=1), np.arange(r)]
     np.negative(vecs, out=vecs, where=(picks < 0)[:, None, :])
     lam = lam[:, :q]
-    return np.count_nonzero((lam > 0) & (lam >= eig_tolerance * lam[:, :1]), axis=1)
+    return np.count_nonzero((lam > 0) & (lam >= _EIG_TOLERANCE * lam[:, :1]), axis=1)
 
 
 def _truncation_warning(q: int, kept: int) -> tuple[str, ...]:
@@ -191,6 +165,8 @@ class PencilFactor:
 
 def factor_pencil(scatters: ScatterSet, epsilon: float) -> PencilFactor:
     """Factor within + eps I and whiten the scatter factors against it."""
+    if not epsilon > 0:
+        raise SolverError("epsilon must be > 0")
     F = scatters.between_factor
     U = np.hstack([scatters.conditional_factor, scatters.prior_factor])
     n = F.shape[0]
@@ -214,15 +190,7 @@ def factor_pencil(scatters: ScatterSet, epsilon: float) -> PencilFactor:
     return PencilFactor(scatters, float(eff_eps), U, T, R[:, :C], R[:, C:])
 
 
-def solve_plane(
-    factor: PencilFactor,
-    weights,
-    q: int,
-    eig_tolerance: float = 1e-10,
-    kernel_spec: KernelSpec | None = None,
-    training_features: np.ndarray | None = None,
-    centering: CenteringStats | None = None,
-) -> list[ProjectionModel | SolverError]:
+def solve_plane(factor: PencilFactor, weights, q: int) -> list[ProjectionModel | SolverError]:
     """Top eigenpairs of the pencil at every (gamma, alpha) in weights.
 
     Solves all points as one stack of k x k problems on a factor_pencil
@@ -232,6 +200,8 @@ def solve_plane(
     scatters = factor.scatters
     F = scatters.between_factor
     n = F.shape[0]
+    if q < 1:
+        raise SolverError("q must be >= 1")
     if q > n:
         raise SolverError(f"q={q} exceeds the number of training samples n={n}")
     ga = np.asarray(weights, dtype=np.float64).reshape(-1, 2)
@@ -250,7 +220,7 @@ def solve_plane(
         raise SolverError(f"generalized eigensolve failed: {exc}") from None
     # singular values come back descending
     lam = sigma**2
-    kept = _truncate(lam, B, q, eig_tolerance)
+    kept = _truncate(lam, B, q)
 
     # Residual screen. Eigenvalues just above the relative tolerance can
     # still be pure null-space noise of the (low-rank) numerator; such
@@ -288,37 +258,21 @@ def solve_plane(
             effective_epsilon=factor.effective_epsilon,
             requested_q=int(q),
             warnings=warnings,
-            kernel_spec=kernel_spec,
-            training_features=training_features,
-            centering=centering,
         ))
     return out
 
 
 def solve(
-    scatters: ScatterSet,
-    config: SolverConfig,
-    kernel_spec: KernelSpec | None = None,
-    training_features: np.ndarray | None = None,
-    centering: CenteringStats | None = None,
+    scatters: ScatterSet, q: int, gamma: float = 1.0, alpha: float = 1.0, epsilon: float = 1e-5
 ) -> ProjectionModel:
     """Top eigenpairs of the regularized scatter pencil.
 
-    Returns up to config.q components; eigenvalues that are not strictly
-    positive, or fall below eig_tolerance relative to the largest, are
-    dropped with a recorded warning. The optional kernel context is
-    attached verbatim so fitted models can project new samples. This is
-    the one-point case of solve_plane.
+    Returns up to q components; eigenvalues that are not strictly positive,
+    or fall below the relative tolerance, are dropped with a recorded
+    warning. The model is bare: fit_baseline attaches the kernel context
+    that project needs. This is the one-point case of solve_plane.
     """
-    if config.q is None:
-        raise SolverError(
-            "SolverConfig.q is unset; pass a concrete dimension "
-            "(fitting layers default it to min(n - 1, classes * domains))"
-        )
-    (model,) = solve_plane(
-        factor_pencil(scatters, config.epsilon), [(config.gamma, config.alpha)], config.q,
-        config.eig_tolerance, kernel_spec, training_features, centering,
-    )
+    (model,) = solve_plane(factor_pencil(scatters, epsilon), [(gamma, alpha)], q)
     if isinstance(model, SolverError):
         raise model
     return model
@@ -364,8 +318,8 @@ def project(model: ProjectionModel, new_features: np.ndarray, mode: str = "paper
     """
     if model.kernel_spec is None or model.training_features is None or model.centering is None:
         raise SolverError(
-            "model carries no kernel context; fit it through the classify layer "
-            "or pass kernel_spec/training_features/centering to solve"
+            "model carries no kernel context; fit it with classify.fit_baseline "
+            "or load it with load_model"
         )
     Ktc = centered_cross_kernel(
         model.kernel_spec, model.training_features, model.centering, new_features, mode

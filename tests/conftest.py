@@ -41,6 +41,15 @@ def random_dataset(rng, n_domains=2, n_classes=3, n=18, d=3, domain_shift=0.0):
     return ci.LabeledDataset(features=x, labels=labels, domains=domains)
 
 
+def missing_cell_dataset(rng, n_per=4):
+    """Two domains, classes 1 and 2 in both, class 3 only in domain 2."""
+    cells = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]
+    domains = np.repeat([s for s, _ in cells], n_per)
+    labels = np.repeat([j for _, j in cells], n_per)
+    x = rng.normal(size=(labels.size, 2)) + labels[:, None]
+    return ci.LabeledDataset(features=x, labels=labels, domains=domains)
+
+
 @pytest.fixture
 def make_dataset(rng):
     """Factory fixture over random_dataset bound to the shared generator."""

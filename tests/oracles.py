@@ -206,34 +206,35 @@ def expand(G):
     return G @ G.T
 
 
-def pencil_eig_dense(scatters, config):
+def pencil_eig_dense(scatters, *, q, gamma, alpha, epsilon):
     """The dense generalized eigensolve the factored solver replaced.
 
     Builds D and P = between from the ScatterSet, runs the full
     scipy.linalg.eigh(P, D), and applies the same descending sort,
-    relative tolerance, sign rule and residual screen. Returns
+    relative tolerance (1e-10 of the largest), sign rule and residual
+    screen. Returns
     (eigenvalues, coefficients, warnings).
     """
     P = expand(scatters.between_factor)
     n = P.shape[0]
     scale = float(np.mean(np.diag(scatters.within)))
-    eff_eps = config.epsilon * (scale if scale > 0 else 1.0)
+    eff_eps = epsilon * (scale if scale > 0 else 1.0)
     D = (
-        config.gamma * expand(scatters.conditional_factor)
-        + config.alpha * expand(scatters.prior_factor)
+        gamma * expand(scatters.conditional_factor)
+        + alpha * expand(scatters.prior_factor)
         + scatters.within
         + eff_eps * np.eye(n)
     )
     lam, vecs = scipy.linalg.eigh(P, D)
 
-    order = np.argsort(-lam, kind="stable")[: config.q]
+    order = np.argsort(-lam, kind="stable")[:q]
     lam = lam[order]
     vecs = vecs[:, order]
-    keep = (lam > 0) & (lam >= config.eig_tolerance * lam[0])
+    keep = (lam > 0) & (lam >= 1e-10 * lam[0])
     warnings = ()
-    if keep.sum() < config.q:
+    if keep.sum() < q:
         warnings = (
-            f"requested q={config.q} but only {int(keep.sum())} eigenvalues "
+            f"requested q={q} but only {int(keep.sum())} eigenvalues "
             "are positive above tolerance; truncated",
         )
     lam = lam[keep]

@@ -250,17 +250,14 @@ def test_eigen_solution_validity():
         Kc = ci.center_train(K)
         w = ci.build_weights(ci.group_index(data))
         ss = ci.scatter_set(Kc, w)
-        cfg = ci.SolverConfig(
-            gamma=float(rng.uniform(0.0, 3.0)),
-            alpha=float(rng.uniform(0.0, 3.0)),
-            epsilon=float(10.0 ** rng.uniform(-6, -3)),
-            q=int(rng.integers(1, 7)),
-        )
-        model = ci.solve(ss, cfg)
+        gamma = float(rng.uniform(0.0, 3.0))
+        alpha = float(rng.uniform(0.0, 3.0))
+        epsilon = float(10.0 ** rng.uniform(-6, -3))
+        model = ci.solve(ss, int(rng.integers(1, 7)), gamma, alpha, epsilon)
         B, lam = model.coefficients, model.eigenvalues
         D = (
-            cfg.gamma * oracles.expand(ss.conditional_factor)
-            + cfg.alpha * oracles.expand(ss.prior_factor)
+            gamma * oracles.expand(ss.conditional_factor)
+            + alpha * oracles.expand(ss.prior_factor)
             + ss.within
             + model.effective_epsilon * np.eye(data.n)
         )

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import condinv as ci
-from condinv.classify import ClassifyError, fit_prepared, knn_votes, prepare_fit
+from condinv.classify import ClassifyError, fit_plane, knn_votes, prepare_fit
 from condinv.scatter import ScatterSet
 from condinv.solver import projection_basis
 import oracles
-from conftest import random_dataset
+from conftest import missing_cell_dataset, random_dataset
 
 
 class TestMethod:
@@ -26,8 +26,6 @@ class TestMethod:
             ci.Method("cidg", epsilon=0.0)
         with pytest.raises(ClassifyError):
             ci.Method("cidg", q=0)
-        with pytest.raises(ClassifyError):
-            ci.Method("cidg", k=0)
 
     def test_tags_tuple(self):
         assert ci.METHOD_TAGS == ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
@@ -240,7 +238,7 @@ class TestFitBaseline:
                 between_factor=ci.between_scatter(Kc, w),
                 within=ci.within_scatter(Kc, w),
             ),
-            ci.SolverConfig(gamma=0.0, alpha=1.0, epsilon=1e-4, q=3),
+            3, gamma=0.0, alpha=1.0, epsilon=1e-4,
         )
         assert np.array_equal(a.coefficients, c.coefficients)
         assert np.array_equal(a.eigenvalues, c.eigenvalues)
@@ -266,27 +264,41 @@ class TestFitBaseline:
         model = ci.fit_baseline(ci.Method("cidg", q=2), data, spec, lenient=True)
         assert any("no class" in w for w in model.warnings)
 
+    @pytest.mark.parametrize("tag", ["kfda", "dica_marginal"])
+    def test_missing_cell_fits_without_lenient(self, rng, tag):
+        # only cidg reads per-(domain, class) weights; kfda and dica_marginal
+        # use pooled class weights, which a missing cell leaves unchanged
+        data = missing_cell_dataset(rng)
+        spec = ci.KernelSpec(bandwidth=1.0)
+        strict = ci.fit_baseline(ci.Method(tag, q=2), data, spec)
+        lenient = ci.fit_baseline(ci.Method(tag, q=2), data, spec, lenient=True)
+        assert np.array_equal(strict.coefficients, lenient.coefficients)
+        assert not any("no class" in w for w in strict.warnings + lenient.warnings)
+        with pytest.raises(ci.MissingClassError):
+            ci.fit_baseline(ci.Method("cidg", q=2), data, spec)
+
     @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
     def test_one_preparation_serves_every_point(self, make_dataset, tag):
         # a PreparedFit is reused across a grid: each point solved from it
-        # must equal a fresh fit, and Kc.T @ basis must equal the projection
-        # of the training rows bit for bit
+        # must equal a fresh fit, and Kc.T @ basis must equal the fresh
+        # model's projection of the training rows bit for bit
         data = make_dataset(n=18, domain_shift=0.4)
         spec = ci.KernelSpec(bandwidth=1.2)
         prepared = prepare_fit(tag, data, spec)
         for gamma, alpha, eps, q in ((0.1, 2.0, 1e-5, 4), (5.0, 0.3, 1e-3, 2)):
             method = ci.Method(tag, gamma=gamma, alpha=alpha, epsilon=eps, q=q)
-            shared = fit_prepared(method, prepared)
+            (shared,) = fit_plane([method], prepared)
             fresh = ci.fit_baseline(method, data, spec)
             assert np.array_equal(shared.coefficients, fresh.coefficients)
             assert np.array_equal(shared.eigenvalues, fresh.eigenvalues)
             assert shared.warnings == fresh.warnings
+            assert shared.training_features is None  # grid models stay bare
             assert np.array_equal(
                 prepared.Kc.T @ projection_basis(shared),
-                ci.project(shared, data.features, mode="paper"),
+                ci.project(fresh, data.features, mode="paper"),
             )
         with pytest.raises(ClassifyError, match="cannot fit"):
-            fit_prepared(ci.Method("raw_knn" if tag == "kpca" else "kpca"), prepared)
+            fit_plane([ci.Method("raw_knn" if tag == "kpca" else "kpca")], prepared)
 
     def test_sign_flip_of_features_keeps_predictions(self, rng):
         # mirroring the input space is an isometry: fitted projections can

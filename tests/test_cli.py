@@ -11,9 +11,8 @@ import yaml
 import condinv as ci
 from condinv.cli import main
 
-QUICK_CONFIG = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "quick.yaml"
-)
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+QUICK_CONFIG = os.path.join(CONFIG_DIR, "quick.yaml")
 
 SPEC_TEXT = """\
 version: 1
@@ -118,6 +117,13 @@ class TestRun:
         assert main(["run", "--config", QUICK_CONFIG, "--out-dir", str(tmp_path)]) == 0
         digest = hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == "7cf08b4df1ed71feced9a249996b41a2"
+
+    def test_benchmark_report_is_pinned(self, tmp_path):
+        # the same guard for the full bundled benchmark run
+        config = os.path.join(CONFIG_DIR, "benchmark.yaml")
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        digest = hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "1a724965f344501ca9bafcda0069e3b8"
 
     def test_save_models(self, tmp_path, capsys):
         config = write_config(tmp_path)

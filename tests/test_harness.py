@@ -9,7 +9,7 @@ import yaml
 import condinv as ci
 from condinv.dataset import CellSpec, SyntheticSpec
 from condinv.harness import HarnessError, _method_axes
-from conftest import random_dataset
+from conftest import missing_cell_dataset, random_dataset
 
 
 def small_spec(seed=21, third_domain=None):
@@ -348,6 +348,16 @@ class TestGridSearch:
             ci.grid_search(train, val, "cidg", grids)
         assert str(info.value).count("scale=") == 4
         assert str(info.value).count("classes missing from some domains") == 4
+
+    @pytest.mark.parametrize("tag", ["kfda", "dica_marginal", "cidg"])
+    def test_missing_cell_fails_only_cidg(self, rng, tag):
+        train, val = missing_cell_dataset(rng), missing_cell_dataset(rng, n_per=2)
+        grids = ci.Grids(bandwidth_scale=(1.0, 2.0), q=(2,), k=(1, 3))
+        if tag == "cidg":
+            with pytest.raises(HarnessError, match="classes missing from some domains"):
+                ci.grid_search(train, val, tag, grids)
+        else:
+            assert ci.grid_search(train, val, tag, grids).warnings == ()
 
     def test_partial_failures_warn_once(self):
         # at a bandwidth a billion times the median every kernel entry

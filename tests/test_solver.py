@@ -34,22 +34,26 @@ def diagonal_scatters(p_diag, n):
 
 
 class TestSolverConfig:
-    def test_defaults(self):
-        cfg = ci.SolverConfig()
-        assert cfg.gamma == 1.0 and cfg.alpha == 1.0
-        assert cfg.q is None
+    """The pencil parameters (gamma, alpha, epsilon, q) as the solver checks them."""
 
     def test_validation(self):
-        with pytest.raises(SolverError):
-            ci.SolverConfig(gamma=-0.1)
-        with pytest.raises(SolverError):
-            ci.SolverConfig(alpha=-1.0)
-        with pytest.raises(SolverError):
-            ci.SolverConfig(epsilon=0.0)
-        with pytest.raises(SolverError):
-            ci.SolverConfig(q=0)
-        with pytest.raises(SolverError):
-            ci.SolverConfig(eig_tolerance=0.0)
+        scatters = diagonal_scatters([4.0, 1.0], 2)
+        factor = factor_pencil(scatters, 1e-5)
+        with pytest.raises(SolverError, match="gamma and alpha"):
+            solve_plane(factor, [(-0.1, 1.0)], 1)
+        with pytest.raises(SolverError, match="gamma and alpha"):
+            solve_plane(factor, [(1.0, -1.0)], 1)
+        with pytest.raises(SolverError, match="epsilon"):
+            factor_pencil(scatters, 0.0)
+        with pytest.raises(SolverError, match="q must be >= 1"):
+            solve_plane(factor, [(1.0, 1.0)], 0)
+        # solve runs the same checks
+        with pytest.raises(SolverError, match="gamma and alpha"):
+            ci.solve(scatters, 1, gamma=-0.1)
+        with pytest.raises(SolverError, match="epsilon"):
+            ci.solve(scatters, 1, epsilon=0.0)
+        with pytest.raises(SolverError, match="q must be >= 1"):
+            ci.solve(scatters, 0)
 
     def test_default_q(self):
         assert ci.default_q(100, 3, 2) == 6
@@ -60,7 +64,7 @@ class TestSolveDiagonal:
     def test_hand_computed_eigenpairs(self):
         # P = diag(4, 1, 0), D = I + eps*I: eigenvalues 4/(1+eps), 1/(1+eps)
         eps = 1e-3
-        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), ci.SolverConfig(q=2, epsilon=eps))
+        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), 2, epsilon=eps)
         want = np.array([4.0, 1.0]) / (1.0 + eps)
         assert np.allclose(model.eigenvalues, want, rtol=1e-12)
         # eigenvectors are scaled basis vectors with B' D B = I
@@ -69,31 +73,27 @@ class TestSolveDiagonal:
         assert model.effective_epsilon == pytest.approx(eps)  # mean diag within = 1
 
     def test_truncation_warns(self):
-        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), ci.SolverConfig(q=3))
+        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), 3)
         assert model.n_components == 2
         assert any("truncated" in w for w in model.warnings)
 
     def test_zero_numerator_is_error(self):
         with pytest.raises(SolverError, match="positive"):
-            ci.solve(diagonal_scatters([0.0, 0.0, 0.0], 3), ci.SolverConfig(q=1))
+            ci.solve(diagonal_scatters([0.0, 0.0, 0.0], 3), 1)
 
     def test_q_exceeding_n(self):
         with pytest.raises(SolverError, match="exceeds"):
-            ci.solve(diagonal_scatters([1.0, 1.0], 2), ci.SolverConfig(q=3))
-
-    def test_q_required(self):
-        with pytest.raises(SolverError, match="unset"):
-            ci.solve(diagonal_scatters([1.0, 1.0], 2), ci.SolverConfig())
+            ci.solve(diagonal_scatters([1.0, 1.0], 2), 3)
 
     def test_relative_epsilon_scales_with_within(self):
         # doubling the within scatter doubles the ridge actually applied
-        a = ci.solve(diagonal_scatters([4.0, 1.0], 2), ci.SolverConfig(q=1, epsilon=1e-4))
+        a = ci.solve(diagonal_scatters([4.0, 1.0], 2), 1, epsilon=1e-4)
         z = np.zeros((2, 0))
         doubled = ScatterSet(
             conditional_factor=z, prior_factor=z, between_factor=np.diag([2.0, 1.0]),
             within=2.0 * np.eye(2),
         )
-        b = ci.solve(doubled, ci.SolverConfig(q=1, epsilon=1e-4))
+        b = ci.solve(doubled, 1, epsilon=1e-4)
         assert b.effective_epsilon == pytest.approx(2.0 * a.effective_epsilon)
 
     def test_zero_within_falls_back_to_absolute(self):
@@ -102,7 +102,7 @@ class TestSolveDiagonal:
             conditional_factor=z, prior_factor=z, between_factor=np.diag(np.sqrt([1.0, 0.5])),
             within=np.zeros((2, 2)),
         )
-        model = ci.solve(scatters, ci.SolverConfig(q=1, epsilon=1e-3))
+        model = ci.solve(scatters, 1, epsilon=1e-3)
         assert model.effective_epsilon == pytest.approx(1e-3)
 
 
@@ -124,12 +124,11 @@ class TestSolveRandom:
     def test_constraint_and_residual(self):
         for data in self.instances():
             scatters, _, _ = fit_scatters(data)
-            cfg = ci.SolverConfig(gamma=0.7, alpha=1.3, epsilon=1e-5, q=4)
-            model = ci.solve(scatters, cfg)
+            model = ci.solve(scatters, 4, gamma=0.7, alpha=1.3, epsilon=1e-5)
             B, lam = model.coefficients, model.eigenvalues
             D = (
-                cfg.gamma * oracles.expand(scatters.conditional_factor)
-                + cfg.alpha * oracles.expand(scatters.prior_factor)
+                0.7 * oracles.expand(scatters.conditional_factor)
+                + 1.3 * oracles.expand(scatters.prior_factor)
                 + scatters.within
                 + model.effective_epsilon * np.eye(data.n)
             )
@@ -142,7 +141,7 @@ class TestSolveRandom:
     def test_eigenvalues_descend_and_are_positive(self):
         for data in self.instances():
             scatters, _, _ = fit_scatters(data)
-            model = ci.solve(scatters, ci.SolverConfig(q=5))
+            model = ci.solve(scatters, 5)
             assert np.all(model.eigenvalues > 0)
             assert np.all(np.diff(model.eigenvalues) <= 0)
 
@@ -151,8 +150,7 @@ class TestSolveRandom:
         # their positive spectrum when the kernel is linear
         for data in self.instances()[:5]:
             scatters, _, _ = fit_scatters(data)
-            cfg = ci.SolverConfig(gamma=0.5, alpha=2.0, epsilon=1e-6, q=data.n)
-            model = ci.solve(scatters, cfg)
+            model = ci.solve(scatters, data.n, gamma=0.5, alpha=2.0, epsilon=1e-6)
             want = oracles.pencil_eigenvalues_explicit(
                 data.features, data.labels, data.domains, 0.5, 2.0, model.effective_epsilon
             )
@@ -165,8 +163,8 @@ class TestSolveRandom:
         # solving at a large q and slicing equals solving at the small q
         for data in self.instances()[:4]:
             scatters, _, _ = fit_scatters(data)
-            big = ci.solve(scatters, ci.SolverConfig(q=6))
-            small = ci.solve(scatters, ci.SolverConfig(q=2))
+            big = ci.solve(scatters, 6)
+            small = ci.solve(scatters, 2)
             take = min(2, big.n_components, small.n_components)
             assert np.array_equal(small.coefficients[:, :take], big.coefficients[:, :take])
             assert np.array_equal(small.eigenvalues[:take], big.eigenvalues[:take])
@@ -174,7 +172,7 @@ class TestSolveRandom:
     def test_sign_canonicalization(self):
         for data in self.instances()[:4]:
             scatters, _, _ = fit_scatters(data)
-            model = ci.solve(scatters, ci.SolverConfig(q=3))
+            model = ci.solve(scatters, 3)
             B = model.coefficients
             picks = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
             assert np.all(picks > 0)
@@ -182,7 +180,7 @@ class TestSolveRandom:
 
 @st.composite
 def factored_pencils(draw):
-    """A random definite pencil with a rank-r factored numerator, and q.
+    """A random definite pencil with a rank-r factored numerator, and solve's keywords.
 
     D's three summands are random PSD matrices, the conditional and prior
     ones given by their factors, plus a full-rank within term. F = L_D H
@@ -204,8 +202,7 @@ def factored_pencils(draw):
 
     conditional, prior, within = factor(3), factor(2), factor(2 * n)
     within = within @ within.T
-    cfg = ci.SolverConfig(gamma=gamma, alpha=alpha, epsilon=1e-5, q=q)
-    eff_eps = cfg.epsilon * float(np.mean(np.diag(within)))
+    eff_eps = 1e-5 * float(np.mean(np.diag(within)))
     D = gamma * conditional @ conditional.T + alpha * prior @ prior.T + within + eff_eps * np.eye(n)
     ratios = rng.uniform(0.2, 0.8, size=r - 1)
     sigma = 10.0 ** rng.uniform(-2, 2) * np.cumprod(np.concatenate([[1.0], ratios]))
@@ -214,7 +211,8 @@ def factored_pencils(draw):
     F = np.linalg.cholesky(D) @ (U * sigma[None, :]) @ V.T
     if dependent:
         F = np.hstack([F, F @ rng.normal(size=(r, 1))])
-    return ScatterSet(conditional, prior, F, within), cfg
+    params = dict(q=q, gamma=gamma, alpha=alpha, epsilon=1e-5)
+    return ScatterSet(conditional, prior, F, within), params
 
 
 @st.composite
@@ -250,9 +248,9 @@ class TestSolveMatchesDenseOracle:
     @settings(max_examples=200, deadline=None)
     @given(factored_pencils())
     def test_factored_solve_matches_dense_eigh(self, case):
-        scatters, cfg = case
-        model = ci.solve(scatters, cfg)
-        lam, vecs, warnings = oracles.pencil_eig_dense(scatters, cfg)
+        scatters, params = case
+        model = ci.solve(scatters, **params)
+        lam, vecs, warnings = oracles.pencil_eig_dense(scatters, **params)
         assert model.n_components == lam.size
         assert model.warnings == warnings
         assert np.allclose(model.eigenvalues, lam, rtol=1e-9, atol=0.0)
@@ -269,8 +267,9 @@ class TestSolvePlane:
         models = solve_plane(factor, plane, q)
         assert len(models) == len(plane)
         for (gamma, alpha), model in zip(plane, models):
-            cfg = ci.SolverConfig(gamma=gamma, alpha=alpha, epsilon=1e-5, q=q)
-            lam, vecs, warnings = oracles.pencil_eig_dense(scatters, cfg)
+            lam, vecs, warnings = oracles.pencil_eig_dense(
+                scatters, q=q, gamma=gamma, alpha=alpha, epsilon=1e-5
+            )
             assume(lam.size and _relative_gap(lam) > 1e-3)
             assert model.n_components == lam.size
             assert model.warnings == warnings
@@ -286,7 +285,7 @@ class TestSolvePlane:
             plane = [(g, a) for g in (0.0, 0.1, 1.0, 10.0) for a in (0.0, 0.5, 2.0)]
             models = solve_plane(factor_pencil(scatters, 1e-4), plane, 4)
             for (gamma, alpha), got in zip(plane, models):
-                want = ci.solve(scatters, ci.SolverConfig(gamma, alpha, epsilon=1e-4, q=4))
+                want = ci.solve(scatters, 4, gamma, alpha, epsilon=1e-4)
                 assert got.warnings == want.warnings
                 assert got.effective_epsilon == want.effective_epsilon
                 assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0.0)
@@ -325,7 +324,7 @@ class TestProjectionModel:
             )
 
     def test_projection_basis_scaling(self):
-        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), ci.SolverConfig(q=2))
+        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), 2)
         basis = projection_basis(model)
         assert np.allclose(basis, model.coefficients / np.sqrt(model.eigenvalues)[None, :])
 
@@ -384,7 +383,7 @@ class TestProject:
         assert np.abs(alone - inside).max() > 1e-6
 
     def test_requires_kernel_context(self):
-        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), ci.SolverConfig(q=1))
+        model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), 1)
         with pytest.raises(SolverError, match="context"):
             ci.project(model, np.ones((2, 3)))
 
@@ -439,7 +438,7 @@ class TestModelSerialization:
         assert ci.load_model(path).warnings == model.warnings
 
     def test_context_free_model_cannot_save(self, tmp_path):
-        model = ci.solve(diagonal_scatters([2.0, 1.0], 2), ci.SolverConfig(q=1))
+        model = ci.solve(diagonal_scatters([2.0, 1.0], 2), 1)
         with pytest.raises(SolverError, match="context"):
             ci.save_model(model, tmp_path / "m.model")
 
