@@ -41,6 +41,7 @@ from .scatter import (
     within_scatter,
 )
 from .solver import (
+    PlaneSolution,
     ProjectionModel,
     SolverError,
     _truncate,
@@ -96,23 +97,31 @@ def knn_votes(
     knn_predict(..., ks[r]). Neighbors are ranked once, for the largest k;
     vote counts and distance sums accumulate along that order, so every
     smaller k reads its prefix.
+
+    Stacks, train (P, n, d) and test (P, m, d) over the n shared labels,
+    give (P, len(ks), m): slice p is knn_votes of train[p] and test[p].
     """
     train = np.asarray(train_feats, dtype=np.float64)
     labels = np.asarray(train_labels, dtype=np.int64)
     test = np.asarray(test_feats, dtype=np.float64)
-    if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
+    if train.ndim not in (2, 3) or test.ndim != train.ndim or (
+        train.shape[:-2] + train.shape[-1:] != test.shape[:-2] + test.shape[-1:]
+    ):
         raise ClassifyError(
             f"feature shapes are inconsistent: train {train.shape}, test {test.shape}"
         )
-    n = train.shape[0]
-    if n == 0:
+    n = train.shape[-2]
+    if n == 0 or len(train) == 0:  # no rows, or an empty stack
         raise ClassifyError("empty training set")
     if labels.shape != (n,):
         raise ClassifyError("training labels do not match training features")
     ks = np.asarray(ks, dtype=np.int64).reshape(-1)
     if ks.size == 0 or ks.min() < 1 or ks.max() > n:
         raise ClassifyError(f"k must lie in 1..{n}, got {', '.join(map(str, ks)) or 'none'}")
-    dists = cdist(test, train)
+    if train.ndim == 2:
+        dists = cdist(test, train)
+    else:  # one cdist per slice keeps every distance bit for bit the 2-D one
+        dists = np.concatenate([cdist(t, r) for t, r in zip(test, train)])
     nearest = _neighbor_order(dists, int(ks.max()))
     classes, codes = np.unique(labels, return_inverse=True)
     hit = codes[nearest][None, :, :] == np.arange(len(classes))[:, None, None]
@@ -124,7 +133,8 @@ def knn_votes(
     tied = votes == votes.max(axis=0)
     low = np.where(tied, sums, np.inf).min(axis=0)
     winner = np.argmax(tied & (sums == low), axis=0)
-    return classes[winner.T]
+    out = classes[winner.T]
+    return out if train.ndim == 2 else out.reshape(ks.size, *test.shape[:2]).swapaxes(0, 1)
 
 
 def _neighbor_order(dists: np.ndarray, k: int) -> np.ndarray:
@@ -166,26 +176,20 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(p == t))
 
 
-def _kpca(Kc: np.ndarray, q: int) -> ProjectionModel:
-    """Top q components of the centered Gram matrix, as a bare model."""
+def _kpca(Kc: np.ndarray, q: int, points: int = 1) -> PlaneSolution:
+    """Top q components of the centered Gram matrix, the solution of every point."""
     import scipy.linalg
 
     n = Kc.shape[0]
     lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
     order = np.argsort(-lam, kind="stable")
-    lam, vecs = lam[order], vecs[:, order]
-    kept = int(_truncate(lam[None], vecs[None], q)[0])
-    if kept == 0:
+    lam, vecs = lam[None, order], vecs[None, :, order]
+    kept = _truncate(lam, vecs, q)
+    if kept[0] == 0:
         raise SolverError("centered Gram matrix has no positive eigenvalues")
-    return ProjectionModel(
-        coefficients=vecs[:, :kept],
-        eigenvalues=lam[:kept],
-        gamma=0.0,
-        alpha=0.0,
-        effective_epsilon=0.0,
-        requested_q=q,
-        warnings=_truncation_warning(q, kept),
-    )
+    same = [0] * points
+    warnings = [_truncation_warning(q, int(kept[0]))] * points
+    return PlaneSolution(vecs[same], lam[same], kept[same], warnings, [None] * points)
 
 
 @dataclass(frozen=True)
@@ -273,23 +277,21 @@ def _pencil_weights(method: Method) -> tuple[float, float]:
     )
 
 
-def fit_plane(
-    methods: Sequence[Method], prepared: PreparedFit
-) -> list[ProjectionModel | SolverError]:
-    """Bare models for methods that differ only in gamma and alpha.
+def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution:
+    """The bare solutions of methods that differ only in gamma and alpha.
 
     The pencil methods share one factor_pencil and one stacked solve_plane
-    call; kpca, which has no gamma or alpha, solves once for all of them.
-    Returns one entry per method, in order: its model, or the SolverError
-    fit_baseline would raise for it alone. An error common to every method
-    (a failed factorization, an invalid q) is raised.
+    call; kpca, which has no gamma or alpha, solves once and every method
+    shares that solution. Point p of the result belongs to methods[p] and
+    carries the SolverError fit_baseline would raise for it alone. An error
+    common to every method (a failed factorization, an invalid q) is raised.
     """
     first = methods[0]
     if any((m.tag, m.epsilon, m.q) != (first.tag, first.epsilon, first.q) for m in methods):
         raise ClassifyError("a plane's methods must share their tag, epsilon and q")
     q = _checked_q(first, prepared)
     if first.tag == "kpca":
-        return [_kpca(prepared.Kc, q)] * len(methods)
+        return _kpca(prepared.Kc, q, len(methods))
     factor = factor_pencil(prepared.scatters, first.epsilon)
     return solve_plane(factor, [_pencil_weights(m) for m in methods], q)
 
@@ -310,7 +312,7 @@ def fit_baseline(
     prepared = prepare_fit(method.tag, train, spec, lenient)
     q = _checked_q(method, prepared)
     if method.tag == "kpca":
-        model = _kpca(prepared.Kc, q)
+        model = _kpca(prepared.Kc, q).model(0, 0.0, 0.0, 0.0, q)
     else:
         gamma, alpha = _pencil_weights(method)
         model = solve(prepared.scatters, q, gamma, alpha, method.epsilon)

@@ -89,13 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True, help="numeric CSV with header row")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("paper", "standard"), default="paper")
+    p.add_argument("--mode", choices=("paper", "standard"), default="standard")
 
     p = sub.add_parser("export-features", help="projected coordinates for plotting")
     p.add_argument("--model", default=None, help="saved model; omit for raw features")
     p.add_argument("--data", required=True, help="labeled CSV (label/domain columns)")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("paper", "standard"), default="paper")
+    p.add_argument("--mode", choices=("paper", "standard"), default="standard")
     p.add_argument("--label-column", default="label")
     p.add_argument("--domain-column", default="domain")
 

@@ -37,13 +37,14 @@ The search does each piece of work once for the axes it depends on:
                         descending prefix of eigenpairs, so a smaller q
                         slices the leading columns;
   per point             the training and validation coordinates, as
-                        products of those kernels with the point's
-                        projection basis;
-  per q width           one neighbor order and the votes of every k
-                        (classify.knn_votes). A q whose slice is as wide as
-                        the previous one (the solve kept fewer components)
-                        sees the same columns and is skipped: only a strict
-                        improvement can win.
+                        products of those kernels with the point's basis,
+                        read straight from the plane's solution;
+  per scale, one        the neighbor order and votes of every k, for all
+  stacked vote per q    points (epsilon planes together) whose q slice
+  width and block       has a new width (classify.knn_votes on a stack of
+                        points). A q slice as wide as the previous one
+                        sees the same columns, so it is skipped: only a
+                        strict improvement can win.
 
 A fit that raises one of the package's errors marks its grid point
 failed; any other exception propagates. When some points fail and others
@@ -86,7 +87,7 @@ from .dataset import (
 )
 from .kernel import MEDIAN, KernelError, KernelSpec
 from .scatter import ScatterError
-from .solver import ProjectionModel, SolverError, centered_cross_kernel, project, projection_basis
+from .solver import ProjectionModel, SolverError, centered_cross_kernel, project
 
 CONFIG_VERSION = 1
 
@@ -437,6 +438,8 @@ def _method_axes(tag: str, grids: Grids):
 # a fit raising one of these marks its grid point failed; anything else propagates
 _FIT_ERRORS = (ClassifyError, KernelError, ScatterError, SolverError)
 _FAILURE = "scale={} gamma={} alpha={} epsilon={}: {}"
+# the distances of one stacked knn_votes call stay within this many bytes
+_KNN_BLOCK_BYTES = 512 * 1024
 
 
 def _base_bandwidth(kernel: KernelSpec, train: LabeledDataset) -> float:
@@ -456,15 +459,18 @@ def _method(tag: str, gamma, alpha, epsilon, q) -> Method:
     )
 
 
-def _fitted_points(train, val, method_tag, axes, q_values, kernel, cross_centering, failures):
-    """Coordinates of every fitted (scale, gamma, alpha, epsilon) point, in grid order.
+def _fitted_scales(train, val, method_tag, axes, q_max, kernel, cross_centering, failures):
+    """Per scale, its (gamma, alpha, epsilon) points and their coordinates.
 
-    Yields the point and [(q, train coordinates, validation coordinates)]
-    for q ascending. A point whose fit fails yields nothing and appends one
-    entry to ``failures``, also when its whole scale failed to prepare.
+    Yields (scale, points, coords): the points in grid order and, by point
+    index, the full-width training and validation coordinates of each point
+    that fitted. A failed point appends one entry to ``failures``, also when
+    its whole scale failed to prepare.
     """
     scales, gammas, alphas, epsilons = axes
-    points = [(g, a, e) for g in gammas for a in alphas for e in epsilons]
+    plane = [(g, a) for g in gammas for a in alphas]
+    points = [(g, a, e) for g, a in plane for e in epsilons]
+    planes = [[_method(method_tag, g, a, e, q_max) for g, a in plane] for e in epsilons]
     base_bw = _base_bandwidth(kernel, train)
     for scale in scales:
         try:
@@ -475,26 +481,51 @@ def _fitted_points(train, val, method_tag, axes, q_values, kernel, cross_centeri
         val_kernel = centered_cross_kernel(
             prepared.spec, train.features, prepared.centering, val.features, cross_centering
         )
-        # epsilon is the innermost grid axis, so a scale's planes (one per
-        # epsilon) are all solved before its first point is yielded
-        fits = {}
-        for eps in epsilons:
-            plane = [(g, a, eps) for g in gammas for a in alphas]
+        solved = []
+        for methods in planes:
             try:
-                models = fit_plane([_method(method_tag, *p, max(q_values)) for p in plane], prepared)
+                solved.append(fit_plane(methods, prepared))
             except _FIT_ERRORS as exc:
-                models = [exc] * len(plane)
-            fits.update(zip(plane, models))
-        for point in points:
-            model = fits[point]
-            if isinstance(model, Exception):
-                failures.append(_FAILURE.format(scale, *point, model))
+                solved.append(exc)
+        coords = {}
+        # epsilon is the innermost grid axis
+        fits = [(solution, j) for j in range(len(plane)) for solution in solved]
+        for i, (solution, j) in enumerate(fits):
+            error = solution if isinstance(solution, Exception) else solution.errors[j]
+            if error is not None:
+                failures.append(_FAILURE.format(scale, *points[i], error))
                 continue
-            basis = projection_basis(model)
-            # the products project(model, ...) would compute, bit for bit
-            full_train = prepared.Kc.T @ basis
-            full_val = val_kernel.T @ basis
-            yield (scale, *point), [(q, full_train[:, :q], full_val[:, :q]) for q in q_values]
+            c = solution.kept[j]
+            # projection_basis of the point's model, and the products project computes
+            basis = solution.coefficients[j, :, :c] / np.sqrt(solution.eigenvalues[j, :c])
+            coords[i] = (prepared.Kc.T @ basis, val_kernel.T @ basis)
+        yield scale, points, coords
+
+
+def _accuracies(coords, n_points, q_values, ks, train, val) -> np.ndarray:
+    """Validation accuracy over (point, q, k) in grid order, -1 where unscored.
+
+    The points of each new width of a q are scored by knn_votes calls
+    stacked up to _KNN_BLOCK_BYTES of distances. A q whose slice is as wide
+    as the previous q's (the solve kept fewer components) sees the same
+    columns, so it can never be a strict improvement and is not scored.
+    """
+    acc = np.full((n_points, len(q_values), len(ks)), -1.0)
+    block = max(1, _KNN_BLOCK_BYTES // (8 * train.n * val.n))
+    for qi, q in enumerate(q_values):
+        previous = q_values[qi - 1] if qi else 0
+        width = {i: min(q, t.shape[1]) for i, (t, _) in coords.items() if t.shape[1] > previous}
+        for w in sorted(set(width.values())):
+            idx = [i for i, wi in width.items() if wi == w]
+            for start in range(0, len(idx), block):
+                part = idx[start:start + block]
+                fit, held = ([coords[i][side][:, :w] for i in part] for side in (0, 1))
+                # a lone point takes the 2-D path, which copies nothing to stack
+                votes = (knn_votes(np.stack(fit), train.labels, np.stack(held), ks)
+                         if len(part) > 1 else knn_votes(fit[0], train.labels, held[0], ks)[None])
+                # a mean of 0/1 values is exact, so each equals accuracy(votes[p, r], labels)
+                acc[part, qi] = (votes == val.labels).mean(axis=2)
+    return acc
 
 
 def grid_search(
@@ -523,30 +554,31 @@ def grid_search(
     ks = tuple(k for k in ks if k <= train.n)
     failures: list[str] = []
     if method_tag == "raw_knn":
-        fitted = [((None, None, None, None), [(None, train.features, val.features)])]
+        # one point whose one "q" keeps every feature column
+        q_values, q_labels = (train.n_features,), (None,)
+        fitted = [(None, [(None, None, None)], {0: (train.features, val.features)})]
     else:
         q_values = grids.resolve_q(train.n, len(train.class_ids), len(train.domain_ids))
         if not q_values:
             raise HarnessError(
                 f"{method_tag} needs at least 2 fit rows to project, got {train.n}"
             )
-        fitted = _fitted_points(
-            train, val, method_tag, (scales, gammas, alphas, epsilons), q_values,
+        q_labels = q_values
+        fitted = _fitted_scales(
+            train, val, method_tag, (scales, gammas, alphas, epsilons), max(q_values),
             kernel, cross_centering, failures,
         )
 
     best: ChosenParams | None = None
-    for (scale, gamma, alpha, epsilon), slices in fitted:
-        width = None
-        for q, train_proj, val_proj in slices:
-            if not ks or train_proj.shape[1] == width:
-                continue  # same columns as the previous q: equal accuracy, never a strict win
-            width = train_proj.shape[1]
-            votes = knn_votes(train_proj, train.labels, val_proj, ks)
-            # a sum of 0/1 values is exact, so each equals accuracy(votes[i], labels)
-            for k, acc in zip(ks, (votes == val.labels).mean(axis=1).tolist()):
-                if best is None or acc > best.validation_accuracy:
-                    best = ChosenParams(scale, gamma, alpha, epsilon, q, k, acc)
+    for scale, points, coords in fitted:
+        if not ks:
+            continue
+        acc = _accuracies(coords, len(points), q_values, ks, train, val)
+        i = int(acc.argmax())  # the first best in (point, q, k) grid order
+        # an earlier scale keeps a tie; -1 marks what was not scored
+        if acc.flat[i] > (-1.0 if best is None else best.validation_accuracy):
+            p, qi, ki = np.unravel_index(i, acc.shape)
+            best = ChosenParams(scale, *points[p], q_labels[qi], ks[ki], float(acc.flat[i]))
     if best is None:
         detail = "; ".join(failures[:5]) if failures else "no evaluable grid points"
         raise HarnessError(f"all grid points failed for {method_tag}: {detail}")

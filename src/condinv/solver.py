@@ -33,7 +33,8 @@ C - 1 eigenvalues are positive.
 Only S depends on gamma and alpha. factor_pencil does the n-sized work
 once per (scatters, eps): the n^3/3 Cholesky of A, the whitened QR and T.
 solve_plane then solves any number of (gamma, alpha) points as one stack
-of k x k problems; solve is its one-point case. The residual screen
+of k x k problems, returned as arrays with no model per point
+(PlaneSolution); solve is its one-point case. The residual screen
 evaluates D B as W B + eps B + U S (U' B), so D is never formed.
 
 The configured eps is relative: the ridge actually added is
@@ -41,9 +42,9 @@ eps * mean(diag(within)), falling back to eps alone when the within
 scatter has zero trace, so the same setting behaves comparably across
 kernel scales. The effective value is stored on the model.
 
-solve and solve_plane return bare models. classify.fit_baseline attaches
-the kernel context with which project maps new samples: the kernel against
-the retained training features, centered, times B Lambda^{-1/2}.
+solve returns a bare model. classify.fit_baseline attaches the kernel
+context with which project maps new samples: the kernel against the
+retained training features, centered, times B Lambda^{-1/2}.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class ProjectionModel:
     eigenvalue, each column sign-fixed so its largest-magnitude entry is
     positive, normalized so B' D B = I). kernel_spec, training_features
     and centering are present on models from classify.fit_baseline or
-    load_model and absent on bare solve and solve_plane output.
+    load_model and absent on bare solve output.
     """
 
     coefficients: np.ndarray
@@ -190,12 +191,38 @@ def factor_pencil(scatters: ScatterSet, epsilon: float) -> PencilFactor:
     return PencilFactor(scatters, float(eff_eps), U, T, R[:, :C], R[:, C:])
 
 
-def solve_plane(factor: PencilFactor, weights, q: int) -> list[ProjectionModel | SolverError]:
+@dataclass(frozen=True)
+class PlaneSolution:
+    """solve_plane's result for the P points of one (gamma, alpha) plane.
+
+    coefficients (P, n, r) and eigenvalues (P, r) hold every eigenpair,
+    descending and sign-fixed. Point p keeps the first kept[p] pairs (after
+    the tolerance and the residual cut) with warnings[p]; errors[p] is the
+    SolverError solve would raise for it alone (then kept[p] is 0), or None.
+    """
+
+    coefficients: np.ndarray
+    eigenvalues: np.ndarray
+    kept: np.ndarray
+    warnings: list[tuple[str, ...]]
+    errors: list[SolverError | None]
+
+    def model(self, p: int, gamma, alpha, effective_epsilon, q) -> ProjectionModel:
+        """Point p as a bare ProjectionModel, or its SolverError raised."""
+        if self.errors[p] is not None:
+            raise self.errors[p]
+        c = self.kept[p]
+        return ProjectionModel(
+            self.coefficients[p, :, :c], self.eigenvalues[p, :c], float(gamma), float(alpha),
+            float(effective_epsilon), int(q), self.warnings[p],
+        )
+
+
+def solve_plane(factor: PencilFactor, weights, q: int) -> PlaneSolution:
     """Top eigenpairs of the pencil at every (gamma, alpha) in weights.
 
     Solves all points as one stack of k x k problems on a factor_pencil
-    result. Returns one entry per point, in order: its ProjectionModel, or
-    the SolverError that solve would raise for that point alone.
+    result; see PlaneSolution for what each point keeps.
     """
     scatters = factor.scatters
     F = scatters.between_factor
@@ -235,31 +262,21 @@ def solve_plane(factor: PencilFactor, weights, q: int) -> list[ProjectionModel |
     first_bad = np.hstack([res > bound, np.ones((P, 1), dtype=bool)]).argmax(axis=1)
     cut = np.minimum(kept, first_bad)
 
-    out: list[ProjectionModel | SolverError] = []
+    warnings, errors = [], []
     for p in range(P):
-        warnings = _truncation_warning(q, int(kept[p]))
+        warnings.append(_truncation_warning(q, int(kept[p])))
+        c, error = int(cut[p]), None
         if kept[p] == 0:
-            out.append(SolverError("no positive eigenvalues: the between-class scatter is zero"))
-            continue
-        c = int(cut[p])
-        if c == 0:
-            out.append(SolverError(
+            error = SolverError("no positive eigenvalues: the between-class scatter is zero")
+        elif c == 0:
+            error = SolverError(
                 "leading eigenpair fails the residual bound "
                 f"({res[p, 0]:.3e} > {bound[p, 0]:.3e}); inputs are likely degenerate"
-            ))
-            continue
-        if c < kept[p]:
-            warnings += (f"eigenpairs from index {c} fail the residual bound and were dropped",)
-        out.append(ProjectionModel(
-            coefficients=B[p, :, :c],
-            eigenvalues=lam[p, :c],
-            gamma=float(ga[p, 0]),
-            alpha=float(ga[p, 1]),
-            effective_epsilon=factor.effective_epsilon,
-            requested_q=int(q),
-            warnings=warnings,
-        ))
-    return out
+            )
+        elif c < kept[p]:
+            warnings[p] += (f"eigenpairs from index {c} fail the residual bound and were dropped",)
+        errors.append(error)
+    return PlaneSolution(B, lam, cut, warnings, errors)
 
 
 def solve(
@@ -272,10 +289,9 @@ def solve(
     warning. The model is bare: fit_baseline attaches the kernel context
     that project needs. This is the one-point case of solve_plane.
     """
-    (model,) = solve_plane(factor_pencil(scatters, epsilon), [(gamma, alpha)], q)
-    if isinstance(model, SolverError):
-        raise model
-    return model
+    factor = factor_pencil(scatters, epsilon)
+    plane = solve_plane(factor, [(gamma, alpha)], q)
+    return plane.model(0, gamma, alpha, factor.effective_epsilon, q)
 
 
 def projection_basis(model: ProjectionModel) -> np.ndarray:

@@ -32,14 +32,20 @@ class TestMethod:
 
 
 @st.composite
-def lattice_knn_cases(draw):
-    """(train, labels, test) on a small integer lattice in 1 or 2 dimensions."""
+def lattice_knn_cases(draw, stacked=False):
+    """(train, labels, test) on a small integer lattice in 1 or 2 dimensions.
+
+    stacked=True draws train (P, n, d) and test (P, m, d) over one label
+    vector.
+    """
+    lead = (draw(st.integers(1, 4)),) if stacked else ()
     d = draw(st.integers(1, 2))
     n = draw(st.integers(1, 12))
     points = st.integers(-2, 2)
-    train = draw(arrays(np.int64, (n, d), elements=points)).astype(float)
+    train = draw(arrays(np.int64, (*lead, n, d), elements=points)).astype(float)
     labels = draw(arrays(np.int64, n, elements=st.integers(1, 3)))
-    test = draw(arrays(np.int64, (draw(st.integers(1, 6)), d), elements=points)).astype(float)
+    m = draw(st.integers(1, 6))
+    test = draw(arrays(np.int64, (*lead, m, d), elements=points)).astype(float)
     return train, labels, test
 
 
@@ -108,6 +114,32 @@ class TestKnnPredict:
         ks = np.arange(1, n + 1)
         assert np.array_equal(knn_votes(train, labels, test, ks), want)
         assert np.array_equal(knn_votes(train, labels, test, ks[::-1]), want[::-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_knn_cases(stacked=True))
+    def test_stacked_votes_equal_per_slice_votes(self, case):
+        # every slice of a stack, ties straddling the k-th distance included,
+        # votes exactly as the 2-D call on that slice alone
+        train, labels, test = case
+        n = train.shape[1]
+        ks = np.arange(1, n + 1)
+        got = knn_votes(train, labels, test, ks)
+        assert got.shape == (train.shape[0], n, test.shape[1])
+        for p in range(train.shape[0]):
+            assert np.array_equal(got[p], knn_votes(train[p], labels, test[p], ks))
+
+    def test_stack_validation(self, rng):
+        labels = np.ones(5, dtype=int)
+        for train, test in (
+            (np.zeros((2, 5, 2)), np.zeros((3, 4, 2))),  # stack sizes differ
+            (np.zeros((2, 5, 2)), np.zeros((2, 4, 3))),  # feature widths differ
+            (np.zeros((2, 5, 2)), np.zeros((4, 2))),  # one side unstacked
+            (np.zeros((1, 2, 5, 2)), np.zeros((1, 2, 4, 2))),  # two stack axes
+        ):
+            with pytest.raises(ClassifyError, match="inconsistent"):
+                knn_votes(train, labels, test, [1])
+        with pytest.raises(ClassifyError, match="empty"):
+            knn_votes(np.zeros((0, 5, 2)), labels, np.zeros((0, 4, 2)), [1])
 
     def test_input_validation(self, rng):
         train = rng.normal(size=(5, 2))
@@ -287,14 +319,17 @@ class TestFitBaseline:
         prepared = prepare_fit(tag, data, spec)
         for gamma, alpha, eps, q in ((0.1, 2.0, 1e-5, 4), (5.0, 0.3, 1e-3, 2)):
             method = ci.Method(tag, gamma=gamma, alpha=alpha, epsilon=eps, q=q)
-            (shared,) = fit_plane([method], prepared)
+            plane = fit_plane([method], prepared)
             fresh = ci.fit_baseline(method, data, spec)
-            assert np.array_equal(shared.coefficients, fresh.coefficients)
-            assert np.array_equal(shared.eigenvalues, fresh.eigenvalues)
-            assert shared.warnings == fresh.warnings
-            assert shared.training_features is None  # grid models stay bare
+            c = plane.kept[0]
+            coefficients, eigenvalues = plane.coefficients[0, :, :c], plane.eigenvalues[0, :c]
+            assert plane.errors == [None]
+            assert np.array_equal(coefficients, fresh.coefficients)
+            assert np.array_equal(eigenvalues, fresh.eigenvalues)
+            assert plane.warnings[0] == fresh.warnings
+            # the basis as the grid reads it from the solution
             assert np.array_equal(
-                prepared.Kc.T @ projection_basis(shared),
+                prepared.Kc.T @ (coefficients / np.sqrt(eigenvalues)),
                 ci.project(fresh, data.features, mode="paper"),
             )
         with pytest.raises(ClassifyError, match="cannot fit"):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +120,22 @@ class TestRun:
         digest = hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == "7cf08b4df1ed71feced9a249996b41a2"
 
+    def test_quick_report_is_pinned_at_two_blas_threads(self, tmp_path):
+        # the CLI runs at BLAS's default thread count, not the suite's one
+        # thread; the grid's stacked products must give the same bytes there
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ci.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        env.update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+        subprocess.run(
+            [sys.executable, "-m", "condinv.cli", "run", "--config", QUICK_CONFIG,
+             "--out-dir", str(tmp_path)],
+            env=env, check=True, capture_output=True,
+        )
+        digest = hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "7cf08b4df1ed71feced9a249996b41a2"
+
     def test_benchmark_report_is_pinned(self, tmp_path):
         # the same guard for the full bundled benchmark run
         config = os.path.join(CONFIG_DIR, "benchmark.yaml")
@@ -220,10 +238,44 @@ class TestProjectAndExport:
             f"component_{i + 1}" for i in range(model.n_components)
         )
         assert len(lines) == 4
-        # values must match the library applied directly
-        want = ci.project(model, np.array([[2.5, 1.0], [4.5, 2.0], [3.0, 1.5]]))
+        # values must match the library applied directly, in the CLI's
+        # default mode
+        want = ci.project(model, np.array([[2.5, 1.0], [4.5, 2.0], [3.0, 1.5]]), mode="standard")
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(got, want)
+
+    def test_default_mode_projects_each_row_on_its_own(self, tmp_path):
+        # by default project and export-features center with the training
+        # statistics alone, so a row alone gets its row of the whole file
+        # (to rounding: BLAS and NumPy sum one row and many in other orders)
+        model_path = self.make_model(tmp_path)
+        data_csv = tmp_path / "data.csv"
+        main(["synth", "--spec", str(tmp_path / "spec.yaml"), "--out", str(data_csv)])
+        header, *rows = data_csv.read_text().splitlines()
+        one_csv = tmp_path / "one.csv"
+        one_csv.write_text(f"{header}\n{rows[5]}\n")
+        feats_csv, one_feats_csv = tmp_path / "feats.csv", tmp_path / "one-feats.csv"
+        feats_csv.write_text("x1,x2\n2.5,1.0\n4.5,2.0\n3.0,1.5\n")
+        one_feats_csv.write_text("x1,x2\n4.5,2.0\n")
+        lines = {}
+        for name, args in (
+            ("project", ["project", "--features", str(feats_csv)]),
+            ("project-one", ["project", "--features", str(one_feats_csv)]),
+            ("export", ["export-features", "--data", str(data_csv)]),
+            ("export-one", ["export-features", "--data", str(one_csv)]),
+        ):
+            out = tmp_path / f"{name}.out.csv"
+            assert main([*args, "--model", str(model_path), "--out", str(out)]) == 0
+            lines[name] = out.read_text().splitlines()
+        def parsed(line):
+            cells = line.split(",")
+            return np.array([float(v) for v in cells[:2]]), cells[2:]
+
+        for one, whole in ((lines["project-one"][1], lines["project"][2]),
+                           (lines["export-one"][1], lines["export"][6])):
+            (got, got_tags), (want, want_tags) = parsed(one), parsed(whole)
+            assert got_tags == want_tags
+            assert np.abs(got - want).max() <= 1e-12
 
     def test_project_rejects_wrong_width(self, tmp_path, capsys):
         model_path = self.make_model(tmp_path)

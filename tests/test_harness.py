@@ -8,7 +8,7 @@ import yaml
 
 import condinv as ci
 from condinv.dataset import CellSpec, SyntheticSpec
-from condinv.harness import HarnessError, _method_axes
+from condinv.harness import HarnessError, _fitted_scales, _method, _method_axes
 from conftest import missing_cell_dataset, random_dataset
 
 
@@ -426,6 +426,100 @@ class TestGridSearch:
         assert calls["factor_pencil"] == 3 * 2
         assert calls["solve_plane"] == [plane] * (3 * 2)
         assert calls["solve"] == 0
+
+    @pytest.mark.parametrize("tag", ["kfda", "cidg"])
+    def test_one_stacked_vote_per_scale_width_and_block(self, tag, rng, monkeypatch):
+        # each (scale, new q width) is scored by one knn_votes call per block
+        # of points, and no grid point gets a ProjectionModel of its own
+        import condinv.harness
+        import condinv.solver
+
+        data = random_dataset(rng, n=60, d=2, domain_shift=0.5)
+        fit_part, val, _ = ci.split(data, 0.7, seed=0)
+        calls, models = [], []
+        knn_votes = condinv.harness.knn_votes
+        post_init = condinv.solver.ProjectionModel.__post_init__
+
+        def counted_votes(train_feats, labels, test_feats, ks):
+            calls.append((len(train_feats) if train_feats.ndim == 3 else 1, train_feats.shape[-1]))
+            return knn_votes(train_feats, labels, test_feats, ks)
+
+        def counted_init(model):
+            models.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(condinv.harness, "knn_votes", counted_votes)
+        monkeypatch.setattr(condinv.solver.ProjectionModel, "__post_init__", counted_init)
+        # blocks of five points
+        monkeypatch.setattr(condinv.harness, "_KNN_BLOCK_BYTES", 8 * fit_part.n * val.n * 5)
+        grids = ci.Grids(
+            bandwidth_scale=(0.5, 1.0, 2.0), gamma=(0.1, 1.0, 10.0), alpha=(0.5, 2.0),
+            epsilon=(1e-5, 1e-3), q=(1, 2, 4), k=(1, 3),
+        )
+        ci.grid_search(fit_part, val, tag, grids)
+        # three classes: every solve keeps two components, so q = 1 and q = 2
+        # are new widths and q = 4 sees the columns of q = 2
+        blocks = [5, 5, 2] if tag == "cidg" else [2]
+        assert calls == [(size, w) for _ in range(3) for w in (1, 2) for size in blocks]
+        assert models == []
+
+    def test_first_best_follows_grid_order_across_epsilon_planes(self, monkeypatch):
+        # the best validation accuracy ties between (gamma 1.0, epsilon 1e-5)
+        # and (gamma 0.1, epsilon 1e-3); in (gamma, alpha, epsilon) order the
+        # second comes first and wins, where scoring each epsilon plane on its
+        # own would meet the first one first
+        import condinv.harness
+
+        train, val, fit_part = self.parts()
+        spec = ci.KernelSpec(bandwidth=ci.median_bandwidth(fit_part.features))
+        winners = []
+        for gamma, eps in ((1.0, 1e-5), (0.1, 1e-3)):
+            method = ci.Method("cidg", gamma=gamma, alpha=1.0, epsilon=eps, q=2)
+            winners.append(ci.project(ci.fit_baseline(method, fit_part, spec), fit_part.features))
+        knn_votes = condinv.harness.knn_votes
+
+        def rigged_votes(train_feats, labels, test_feats, ks):
+            # all correct for the two tied points, all wrong elsewhere
+            votes = np.array(knn_votes(train_feats, labels, test_feats, ks))
+            stacked = votes.ndim == 3
+            stack, feats = (votes, train_feats) if stacked else (votes[None], [train_feats])
+            for p, coords in enumerate(feats):
+                won = any(
+                    w.shape == coords.shape and np.allclose(coords, w, rtol=1e-9, atol=0.0)
+                    for w in winners
+                )
+                stack[p] = val.labels if won else 0
+            return votes
+
+        monkeypatch.setattr(condinv.harness, "knn_votes", rigged_votes)
+        grids = ci.Grids(
+            bandwidth_scale=(1.0,), gamma=(0.1, 1.0), alpha=(1.0,), epsilon=(1e-5, 1e-3),
+            q=(2,), k=(1,),
+        )
+        chosen = ci.grid_search(fit_part, val, "cidg", grids)
+        assert (chosen.gamma, chosen.epsilon, chosen.validation_accuracy) == (0.1, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("tag", ["kpca", "kfda", "cidg"])
+    def test_grid_coordinates_equal_each_points_projection(self, tag, rng):
+        # the grid reads each point's basis straight from the plane's
+        # solution and gets, bit for bit, what its own fitted model projects
+        data = random_dataset(rng, n=60, d=2, domain_shift=0.5)
+        fit_part, val, _ = ci.split(data, 0.7, seed=0)
+        grids = ci.Grids(
+            bandwidth_scale=(0.5, 2.0), gamma=(0.1, 10.0), alpha=(0.5, 2.0),
+            epsilon=(1e-5, 1e-3), q=(4,),
+        )
+        axes = _method_axes(tag, grids)[:4]
+        base = ci.median_bandwidth(fit_part.features)
+        scales = _fitted_scales(fit_part, val, tag, axes, 4, ci.KernelSpec(), "standard", [])
+        for scale, points, coords in scales:
+            spec = ci.KernelSpec("rbf", base * scale)
+            assert sorted(coords) == list(range(len(points)))
+            for i, point in enumerate(points):
+                model = ci.fit_baseline(_method(tag, *point, 4), fit_part, spec)
+                full_train, full_val = coords[i]
+                assert np.array_equal(full_train, ci.project(model, fit_part.features))
+                assert np.array_equal(full_val, ci.project(model, val.features, mode="standard"))
 
     def test_unknown_method(self):
         train, val, fit_part = self.parts()

@@ -264,42 +264,54 @@ class TestSolvePlane:
     def test_plane_matches_dense_eigh(self, case):
         scatters, plane, q = case
         factor = factor_pencil(scatters, 1e-5)
-        models = solve_plane(factor, plane, q)
-        assert len(models) == len(plane)
-        for (gamma, alpha), model in zip(plane, models):
+        solution = solve_plane(factor, plane, q)
+        assert len(solution.kept) == len(solution.errors) == len(plane)
+        for p, (gamma, alpha) in enumerate(plane):
             lam, vecs, warnings = oracles.pencil_eig_dense(
                 scatters, q=q, gamma=gamma, alpha=alpha, epsilon=1e-5
             )
             assume(lam.size and _relative_gap(lam) > 1e-3)
-            assert model.n_components == lam.size
-            assert model.warnings == warnings
-            assert (model.gamma, model.alpha) == (gamma, alpha)
-            assert model.effective_epsilon == factor.effective_epsilon
-            assert np.allclose(model.eigenvalues, lam, rtol=1e-9, atol=0.0)
+            c = solution.kept[p]
+            assert solution.errors[p] is None
+            assert c == lam.size
+            assert solution.warnings[p] == warnings
+            assert np.allclose(solution.eigenvalues[p, :c], lam, rtol=1e-9, atol=0.0)
             scale = np.abs(vecs).max()
-            assert np.allclose(model.coefficients, vecs, rtol=0.0, atol=1e-8 * scale)
+            assert np.allclose(
+                solution.coefficients[p, :, :c], vecs, rtol=0.0, atol=1e-8 * scale
+            )
 
     def test_each_point_equals_its_own_solve(self):
         for data in TestSolveRandom().instances():
             scatters, _, _ = fit_scatters(data)
             plane = [(g, a) for g in (0.0, 0.1, 1.0, 10.0) for a in (0.0, 0.5, 2.0)]
-            models = solve_plane(factor_pencil(scatters, 1e-4), plane, 4)
-            for (gamma, alpha), got in zip(plane, models):
+            solution = solve_plane(factor_pencil(scatters, 1e-4), plane, 4)
+            for p, (gamma, alpha) in enumerate(plane):
                 want = ci.solve(scatters, 4, gamma, alpha, epsilon=1e-4)
-                assert got.warnings == want.warnings
-                assert got.effective_epsilon == want.effective_epsilon
-                assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-12, atol=0.0)
+                c = solution.kept[p]
+                assert solution.errors[p] is None
+                assert solution.warnings[p] == want.warnings
+                assert c == want.n_components
+                assert np.allclose(
+                    solution.eigenvalues[p, :c], want.eigenvalues, rtol=1e-12, atol=0.0
+                )
                 scale = np.abs(want.coefficients).max()
-                assert np.allclose(got.coefficients, want.coefficients, rtol=0.0, atol=1e-12 * scale)
+                assert np.allclose(
+                    solution.coefficients[p, :, :c], want.coefficients,
+                    rtol=0.0, atol=1e-12 * scale,
+                )
 
     def test_point_failures_are_returned_in_place(self):
         # a zero between factor at one point cannot be told apart from the
         # others by the factorization; every point reports the error solve raises
-        models = solve_plane(factor_pencil(diagonal_scatters([0.0, 0.0], 2), 1e-5), [(0, 0)] * 2, 1)
-        assert [str(m) for m in models] == [
+        solution = solve_plane(
+            factor_pencil(diagonal_scatters([0.0, 0.0], 2), 1e-5), [(0, 0)] * 2, 1
+        )
+        assert [str(e) for e in solution.errors] == [
             "no positive eigenvalues: the between-class scatter is zero"
         ] * 2
-        assert all(isinstance(m, SolverError) for m in models)
+        assert all(isinstance(e, SolverError) for e in solution.errors)
+        assert solution.kept.tolist() == [0, 0]
 
 
 class TestProjectionModel:
