@@ -118,10 +118,8 @@ def knn_votes(
     ks = np.asarray(ks, dtype=np.int64).reshape(-1)
     if ks.size == 0 or ks.min() < 1 or ks.max() > n:
         raise ClassifyError(f"k must lie in 1..{n}, got {', '.join(map(str, ks)) or 'none'}")
-    if train.ndim == 2:
-        dists = cdist(test, train)
-    else:  # one cdist per slice keeps every distance bit for bit the 2-D one
-        dists = np.concatenate([cdist(t, r) for t, r in zip(test, train)])
+    # a stack takes one cdist per slice, so every distance is bit for bit the 2-D one
+    dists = cdist(test, train) if train.ndim == 2 else np.vstack(list(map(cdist, test, train)))
     nearest = _neighbor_order(dists, int(ks.max()))
     classes, codes = np.unique(labels, return_inverse=True)
     hit = codes[nearest][None, :, :] == np.arange(len(classes))[:, None, None]
@@ -176,8 +174,8 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(p == t))
 
 
-def _kpca(Kc: np.ndarray, q: int, points: int = 1) -> PlaneSolution:
-    """Top q components of the centered Gram matrix, the solution of every point."""
+def _kpca(Kc: np.ndarray, q: int) -> PlaneSolution:
+    """Top q components of the centered Gram matrix, as a one-point solution."""
     import scipy.linalg
 
     n = Kc.shape[0]
@@ -187,9 +185,7 @@ def _kpca(Kc: np.ndarray, q: int, points: int = 1) -> PlaneSolution:
     kept = _truncate(lam, vecs, q)
     if kept[0] == 0:
         raise SolverError("centered Gram matrix has no positive eigenvalues")
-    same = [0] * points
-    warnings = [_truncation_warning(q, int(kept[0]))] * points
-    return PlaneSolution(vecs[same], lam[same], kept[same], warnings, [None] * points)
+    return PlaneSolution(vecs, lam, kept, [_truncation_warning(q, int(kept[0]))], [None])
 
 
 @dataclass(frozen=True)
@@ -201,8 +197,8 @@ class PreparedFit:
     centering statistics, and (for the pencil methods) the scatter
     matrices. fit_plane adds gamma, alpha, epsilon and q, so one
     PreparedFit serves every point of a (gamma, alpha, epsilon, q) grid.
-    The training coordinates of any model fitted from it are
-    Kc.T @ projection_basis(model), as project computes them.
+    The training coordinates of any model fitted from it are Kc.T times
+    its projection_basis, as project computes them.
     """
 
     tag: str
@@ -281,17 +277,19 @@ def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution
     """The bare solutions of methods that differ only in gamma and alpha.
 
     The pencil methods share one factor_pencil and one stacked solve_plane
-    call; kpca, which has no gamma or alpha, solves once and every method
-    shares that solution. Point p of the result belongs to methods[p] and
-    carries the SolverError fit_baseline would raise for it alone. An error
-    common to every method (a failed factorization, an invalid q) is raised.
+    call; kpca has no gamma or alpha, so its plane holds one method. Point
+    p of the result belongs to methods[p] and carries the SolverError
+    fit_baseline would raise for it alone. An error common to every method
+    (a failed factorization, an invalid q) is raised.
     """
     first = methods[0]
     if any((m.tag, m.epsilon, m.q) != (first.tag, first.epsilon, first.q) for m in methods):
         raise ClassifyError("a plane's methods must share their tag, epsilon and q")
     q = _checked_q(first, prepared)
     if first.tag == "kpca":
-        return _kpca(prepared.Kc, q, len(methods))
+        if len(methods) > 1:
+            raise ClassifyError("kpca has no gamma or alpha: its plane holds one method")
+        return _kpca(prepared.Kc, q)
     factor = factor_pencil(prepared.scatters, first.epsilon)
     return solve_plane(factor, [_pencil_weights(m) for m in methods], q)
 

@@ -39,12 +39,11 @@ The search does each piece of work once for the axes it depends on:
   per point             the training and validation coordinates, as
                         products of those kernels with the point's basis,
                         read straight from the plane's solution;
-  per scale, one        the neighbor order and votes of every k, for all
-  stacked vote per q    points (epsilon planes together) whose q slice
-  width and block       has a new width (classify.knn_votes on a stack of
-                        points). A q slice as wide as the previous one
-                        sees the same columns, so it is skipped: only a
-                        strict improvement can win.
+  per scale, one        the neighbor order and votes of every k for all
+  stacked vote per q    points whose q slice has a new width, epsilon
+  width and block       planes together (classify.knn_votes on a stack).
+                        A slice as wide as the previous q's is skipped:
+                        same columns, never a strict improvement.
 
 A fit that raises one of the package's errors marks its grid point
 failed; any other exception propagates. When some points fail and others
@@ -87,7 +86,7 @@ from .dataset import (
 )
 from .kernel import MEDIAN, KernelError, KernelSpec
 from .scatter import ScatterError
-from .solver import ProjectionModel, SolverError, centered_cross_kernel, project
+from .solver import ProjectionModel, SolverError, centered_cross_kernel, project, projection_basis
 
 CONFIG_VERSION = 1
 
@@ -489,26 +488,22 @@ def _fitted_scales(train, val, method_tag, axes, q_max, kernel, cross_centering,
                 solved.append(exc)
         coords = {}
         # epsilon is the innermost grid axis
-        fits = [(solution, j) for j in range(len(plane)) for solution in solved]
-        for i, (solution, j) in enumerate(fits):
+        for i, (solution, j) in enumerate((s, j) for j in range(len(plane)) for s in solved):
             error = solution if isinstance(solution, Exception) else solution.errors[j]
             if error is not None:
                 failures.append(_FAILURE.format(scale, *points[i], error))
                 continue
             c = solution.kept[j]
-            # projection_basis of the point's model, and the products project computes
-            basis = solution.coefficients[j, :, :c] / np.sqrt(solution.eigenvalues[j, :c])
-            coords[i] = (prepared.Kc.T @ basis, val_kernel.T @ basis)
+            basis = projection_basis(solution.coefficients[j, :, :c], solution.eigenvalues[j, :c])
+            coords[i] = (prepared.Kc.T @ basis, val_kernel.T @ basis)  # as project computes
         yield scale, points, coords
 
 
 def _accuracies(coords, n_points, q_values, ks, train, val) -> np.ndarray:
     """Validation accuracy over (point, q, k) in grid order, -1 where unscored.
 
-    The points of each new width of a q are scored by knn_votes calls
-    stacked up to _KNN_BLOCK_BYTES of distances. A q whose slice is as wide
-    as the previous q's (the solve kept fewer components) sees the same
-    columns, so it can never be a strict improvement and is not scored.
+    Points are scored in knn_votes stacks of at most _KNN_BLOCK_BYTES of
+    distances; a q slice no wider than the previous q's is not scored.
     """
     acc = np.full((n_points, len(q_values), len(ks)), -1.0)
     block = max(1, _KNN_BLOCK_BYTES // (8 * train.n * val.n))
@@ -519,10 +514,8 @@ def _accuracies(coords, n_points, q_values, ks, train, val) -> np.ndarray:
             idx = [i for i, wi in width.items() if wi == w]
             for start in range(0, len(idx), block):
                 part = idx[start:start + block]
-                fit, held = ([coords[i][side][:, :w] for i in part] for side in (0, 1))
-                # a lone point takes the 2-D path, which copies nothing to stack
-                votes = (knn_votes(np.stack(fit), train.labels, np.stack(held), ks)
-                         if len(part) > 1 else knn_votes(fit[0], train.labels, held[0], ks)[None])
+                fit, held = (np.stack([coords[i][side][:, :w] for i in part]) for side in (0, 1))
+                votes = knn_votes(fit, train.labels, held, ks)
                 # a mean of 0/1 values is exact, so each equals accuracy(votes[p, r], labels)
                 acc[part, qi] = (votes == val.labels).mean(axis=2)
     return acc
@@ -736,7 +729,7 @@ def export_features(
     model: ProjectionModel | None,
     data: LabeledDataset,
     path: str,
-    mode: str = "paper",
+    mode: str = "standard",
 ) -> None:
     """Write plot-ready CSV: first two projected coordinates, label, domain.
 

@@ -262,20 +262,19 @@ def solve_plane(factor: PencilFactor, weights, q: int) -> PlaneSolution:
     first_bad = np.hstack([res > bound, np.ones((P, 1), dtype=bool)]).argmax(axis=1)
     cut = np.minimum(kept, first_bad)
 
-    warnings, errors = [], []
+    warnings = [_truncation_warning(q, int(k)) for k in kept]
+    errors: list[SolverError | None] = [None] * P
     for p in range(P):
-        warnings.append(_truncation_warning(q, int(kept[p])))
-        c, error = int(cut[p]), None
+        c = int(cut[p])
         if kept[p] == 0:
-            error = SolverError("no positive eigenvalues: the between-class scatter is zero")
+            errors[p] = SolverError("no positive eigenvalues: the between-class scatter is zero")
         elif c == 0:
-            error = SolverError(
+            errors[p] = SolverError(
                 "leading eigenpair fails the residual bound "
                 f"({res[p, 0]:.3e} > {bound[p, 0]:.3e}); inputs are likely degenerate"
             )
         elif c < kept[p]:
             warnings[p] += (f"eigenpairs from index {c} fail the residual bound and were dropped",)
-        errors.append(error)
     return PlaneSolution(B, lam, cut, warnings, errors)
 
 
@@ -294,12 +293,12 @@ def solve(
     return plane.model(0, gamma, alpha, factor.effective_epsilon, q)
 
 
-def projection_basis(model: ProjectionModel) -> np.ndarray:
+def projection_basis(coefficients: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """Coefficient columns scaled by eigenvalue^{-1/2}.
 
     A centered kernel column block Kc maps to features via Kc.T @ basis.
     """
-    return model.coefficients / np.sqrt(model.eigenvalues)[None, :]
+    return coefficients / np.sqrt(eigenvalues)
 
 
 def centered_cross_kernel(
@@ -311,7 +310,7 @@ def centered_cross_kernel(
 ) -> np.ndarray:
     """Kernel between the training samples and new_features, centered per mode.
 
-    The n x n_new result maps to features via .T @ projection_basis(model);
+    The n x n_new result maps to features via .T @ projection_basis(...);
     see center_cross_from_stats for the two modes.
     """
     x = np.asarray(new_features, dtype=np.float64)
@@ -340,7 +339,7 @@ def project(model: ProjectionModel, new_features: np.ndarray, mode: str = "paper
     Ktc = centered_cross_kernel(
         model.kernel_spec, model.training_features, model.centering, new_features, mode
     )
-    return Ktc.T @ projection_basis(model)
+    return Ktc.T @ projection_basis(model.coefficients, model.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

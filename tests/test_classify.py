@@ -200,7 +200,7 @@ class TestFitBaseline:
         assert np.allclose(model.coefficients, top, atol=1e-8)
         # projecting the training data recovers the usual KPCA coordinates
         got = ci.project(model, data.features, mode="paper")
-        want = Kc @ projection_basis(model)
+        want = Kc @ projection_basis(model.coefficients, model.eigenvalues)
         assert np.allclose(got, want, atol=1e-10)
 
     def test_kpca_rank_one_collinear_cloud(self):
@@ -329,11 +329,14 @@ class TestFitBaseline:
             assert plane.warnings[0] == fresh.warnings
             # the basis as the grid reads it from the solution
             assert np.array_equal(
-                prepared.Kc.T @ (coefficients / np.sqrt(eigenvalues)),
+                prepared.Kc.T @ projection_basis(coefficients, eigenvalues),
                 ci.project(fresh, data.features, mode="paper"),
             )
         with pytest.raises(ClassifyError, match="cannot fit"):
             fit_plane([ci.Method("raw_knn" if tag == "kpca" else "kpca")], prepared)
+        if tag == "kpca":  # no gamma or alpha to stack
+            with pytest.raises(ClassifyError, match="holds one method"):
+                fit_plane([ci.Method("kpca")] * 2, prepared)
 
     def test_sign_flip_of_features_keeps_predictions(self, rng):
         # mirroring the input space is an isometry: fitted projections can

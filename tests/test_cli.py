@@ -122,7 +122,7 @@ class TestRun:
 
     def test_quick_report_is_pinned_at_two_blas_threads(self, tmp_path):
         # the CLI runs at BLAS's default thread count, not the suite's one
-        # thread; the grid's stacked products must give the same bytes there
+        # thread: the report's bytes must not depend on the thread count
         src = os.path.dirname(os.path.dirname(os.path.abspath(ci.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]

@@ -427,10 +427,17 @@ class TestGridSearch:
         assert calls["solve_plane"] == [plane] * (3 * 2)
         assert calls["solve"] == 0
 
-    @pytest.mark.parametrize("tag", ["kfda", "cidg"])
-    def test_one_stacked_vote_per_scale_width_and_block(self, tag, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "tag, blocks, widths",
+        [("kpca", [1], (1, 2, 4)), ("kfda", [2], (1, 2)), ("cidg", [5, 5, 2], (1, 2))],
+        ids=["kpca", "kfda", "cidg"],
+    )
+    def test_one_stacked_vote_per_scale_width_and_block(
+        self, tag, blocks, widths, rng, monkeypatch
+    ):
         # each (scale, new q width) is scored by one knn_votes call per block
-        # of points, and no grid point gets a ProjectionModel of its own
+        # of points, a one-point block too, and no grid point gets a
+        # ProjectionModel of its own
         import condinv.harness
         import condinv.solver
 
@@ -441,7 +448,7 @@ class TestGridSearch:
         post_init = condinv.solver.ProjectionModel.__post_init__
 
         def counted_votes(train_feats, labels, test_feats, ks):
-            calls.append((len(train_feats) if train_feats.ndim == 3 else 1, train_feats.shape[-1]))
+            calls.append((train_feats.shape[0], train_feats.shape[2]))  # always a stack
             return knn_votes(train_feats, labels, test_feats, ks)
 
         def counted_init(model):
@@ -457,10 +464,9 @@ class TestGridSearch:
             epsilon=(1e-5, 1e-3), q=(1, 2, 4), k=(1, 3),
         )
         ci.grid_search(fit_part, val, tag, grids)
-        # three classes: every solve keeps two components, so q = 1 and q = 2
-        # are new widths and q = 4 sees the columns of q = 2
-        blocks = [5, 5, 2] if tag == "cidg" else [2]
-        assert calls == [(size, w) for _ in range(3) for w in (1, 2) for size in blocks]
+        # three classes: every pencil solve keeps two components, so q = 1 and
+        # q = 2 are new widths and q = 4 sees the columns of q = 2; kpca keeps 4
+        assert calls == [(size, w) for _ in range(3) for w in widths for size in blocks]
         assert models == []
 
     def test_first_best_follows_grid_order_across_epsilon_planes(self, monkeypatch):
@@ -481,14 +487,12 @@ class TestGridSearch:
         def rigged_votes(train_feats, labels, test_feats, ks):
             # all correct for the two tied points, all wrong elsewhere
             votes = np.array(knn_votes(train_feats, labels, test_feats, ks))
-            stacked = votes.ndim == 3
-            stack, feats = (votes, train_feats) if stacked else (votes[None], [train_feats])
-            for p, coords in enumerate(feats):
+            for p, coords in enumerate(train_feats):
                 won = any(
                     w.shape == coords.shape and np.allclose(coords, w, rtol=1e-9, atol=0.0)
                     for w in winners
                 )
-                stack[p] = val.labels if won else 0
+                votes[p] = val.labels if won else 0
             return votes
 
         monkeypatch.setattr(condinv.harness, "knn_votes", rigged_votes)

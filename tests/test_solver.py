@@ -337,7 +337,7 @@ class TestProjectionModel:
 
     def test_projection_basis_scaling(self):
         model = ci.solve(diagonal_scatters([4.0, 1.0, 0.0], 3), 2)
-        basis = projection_basis(model)
+        basis = projection_basis(model.coefficients, model.eigenvalues)
         assert np.allclose(basis, model.coefficients / np.sqrt(model.eigenvalues)[None, :])
 
 
@@ -352,7 +352,7 @@ class TestProject:
         data, model = self.fitted(rng)
         K = ci.gram(data.features, data.features, model.kernel_spec)
         Kc = ci.center_train(K)
-        want = Kc.T @ projection_basis(model)
+        want = Kc.T @ projection_basis(model.coefficients, model.eigenvalues)
         got = ci.project(model, data.features, mode="paper")
         assert np.allclose(got, want, atol=1e-10)
 
