@@ -40,17 +40,7 @@ from .scatter import (
     uniform_domain_weights,
     within_scatter,
 )
-from .solver import (
-    PlaneSolution,
-    ProjectionModel,
-    SolverError,
-    _truncate,
-    _truncation_warning,
-    default_q,
-    factor_pencil,
-    solve,
-    solve_plane,
-)
+from .solver import PlaneSolution, ProjectionModel, default_q, solve, solve_kpca, solve_plane
 
 METHOD_TAGS = ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
 
@@ -65,7 +55,8 @@ class Method:
 
     gamma/alpha apply to cidg only; epsilon to cidg, kfda and
     dica_marginal; q to every projection method (None picks
-    min(n - 1, classes * domains) at fit time).
+    min(n - 1, classes * domains) at fit time). Only the tag is checked
+    here: the solver checks the values a method uses when it fits.
     """
 
     tag: str
@@ -77,12 +68,6 @@ class Method:
     def __post_init__(self):
         if self.tag not in METHOD_TAGS:
             raise ClassifyError(f"unknown method {self.tag!r}; use one of {METHOD_TAGS}")
-        if self.gamma < 0 or self.alpha < 0:
-            raise ClassifyError("gamma and alpha must be >= 0")
-        if not self.epsilon > 0:
-            raise ClassifyError("epsilon must be > 0")
-        if self.q is not None and self.q < 1:
-            raise ClassifyError("q must be >= 1")
 
 
 def knn_votes(
@@ -174,20 +159,6 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(p == t))
 
 
-def _kpca(Kc: np.ndarray, q: int) -> PlaneSolution:
-    """Top q components of the centered Gram matrix, as a one-point solution."""
-    import scipy.linalg
-
-    n = Kc.shape[0]
-    lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
-    order = np.argsort(-lam, kind="stable")
-    lam, vecs = lam[None, order], vecs[None, :, order]
-    kept = _truncate(lam, vecs, q)
-    if kept[0] == 0:
-        raise SolverError("centered Gram matrix has no positive eigenvalues")
-    return PlaneSolution(vecs, lam, kept, [_truncation_warning(q, int(kept[0]))], [None])
-
-
 @dataclass(frozen=True)
 class PreparedFit:
     """The part of a fit that depends on the data and kernel only.
@@ -256,13 +227,10 @@ def prepare_fit(
 
 
 def _checked_q(method: Method, prepared: PreparedFit) -> int:
+    """The method's q, or the preparation's default; the solver checks its range."""
     if method.tag != prepared.tag:
         raise ClassifyError(f"a {prepared.tag} preparation cannot fit {method.tag}")
-    n = prepared.Kc.shape[0]
-    q = method.q if method.q is not None else prepared.default_q
-    if q > n:
-        raise ClassifyError(f"q={q} exceeds the training size n={n}")
-    return q
+    return prepared.default_q if method.q is None else method.q
 
 
 def _pencil_weights(method: Method) -> tuple[float, float]:
@@ -276,11 +244,11 @@ def _pencil_weights(method: Method) -> tuple[float, float]:
 def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution:
     """The bare solutions of methods that differ only in gamma and alpha.
 
-    The pencil methods share one factor_pencil and one stacked solve_plane
-    call; kpca has no gamma or alpha, so its plane holds one method. Point
-    p of the result belongs to methods[p] and carries the SolverError
+    The pencil methods share one solve_plane call; kpca has no gamma or
+    alpha, so its plane holds one method and takes one solve_kpca call.
+    Point p of the result belongs to methods[p] and carries the SolverError
     fit_baseline would raise for it alone. An error common to every method
-    (a failed factorization, an invalid q) is raised.
+    (a failed factorization, an invalid parameter) is raised.
     """
     first = methods[0]
     if any((m.tag, m.epsilon, m.q) != (first.tag, first.epsilon, first.q) for m in methods):
@@ -289,9 +257,8 @@ def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution
     if first.tag == "kpca":
         if len(methods) > 1:
             raise ClassifyError("kpca has no gamma or alpha: its plane holds one method")
-        return _kpca(prepared.Kc, q)
-    factor = factor_pencil(prepared.scatters, first.epsilon)
-    return solve_plane(factor, [_pencil_weights(m) for m in methods], q)
+        return solve_kpca(prepared.Kc, q)
+    return solve_plane(prepared.scatters, [_pencil_weights(m) for m in methods], q, first.epsilon)
 
 
 def fit_baseline(
@@ -310,10 +277,9 @@ def fit_baseline(
     prepared = prepare_fit(method.tag, train, spec, lenient)
     q = _checked_q(method, prepared)
     if method.tag == "kpca":
-        model = _kpca(prepared.Kc, q).model(0, 0.0, 0.0, 0.0, q)
+        model = solve_kpca(prepared.Kc, q).model(0)
     else:
-        gamma, alpha = _pencil_weights(method)
-        model = solve(prepared.scatters, q, gamma, alpha, method.epsilon)
+        model = solve(prepared.scatters, q, *_pencil_weights(method), method.epsilon)
     return replace(
         model, warnings=model.warnings + prepared.adjustments, kernel_spec=prepared.spec,
         training_features=prepared.features, centering=prepared.centering,

@@ -168,6 +168,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if not self.cells:
             raise DatasetError("synthetic spec has no cells")
+        if self.seed < 0:
+            raise DatasetError(f"seed must be >= 0, got {self.seed}")
         for (s, j) in self.cells:
             if s < 1 or j < 1:
                 raise DatasetError("domain and class ids must be positive integers")

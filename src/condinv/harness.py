@@ -29,11 +29,11 @@ The search does each piece of work once for the axes it depends on:
                         its statistics, the weights and scatter factors
                         (classify.prepare_fit), and the centered
                         validation cross kernel;
-  per (scale, epsilon)  one factorization of the pencil's within + eps I
-                        term (solver.factor_pencil);
-  per (gamma, alpha)    one stacked solve of every point of the plane at
-  plane                 the largest q (solver.solve_plane, through
-                        classify.fit_plane); the solver returns a
+  per (scale, epsilon)  one solve of the whole (gamma, alpha) plane at the
+                        largest q (solver.solve_plane, through
+                        classify.fit_plane): one factorization of the
+                        pencil's within + eps I term, then one stacked
+                        solve of every point; the solver returns a
                         descending prefix of eigenpairs, so a smaller q
                         slices the leading columns;
   per point             the training and validation coordinates, as
@@ -160,9 +160,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.source_domains or not self.target_domains:
             raise HarnessError("source_domains and target_domains must be non-empty")
-        overlap = set(self.source_domains) & set(self.target_domains)
+        for item in (*self.source_domains, *self.target_domains):
+            if not isinstance(item, (str, int, float)):
+                raise HarnessError(f"domain references must be names or numbers, got {item!r}")
+        overlap = sorted(set(self.source_domains) & set(self.target_domains), key=str)
         if overlap:
-            raise HarnessError(f"domains {sorted(overlap)} listed as both source and target")
+            raise HarnessError(f"domains {overlap} listed as both source and target")
         if not self.methods:
             raise HarnessError("methods must be non-empty")
         unknown = [m for m in self.methods if m not in METHOD_TAGS]
@@ -174,6 +177,8 @@ class ExperimentConfig:
                 raise HarnessError(f"{name} must lie in (0, 1), got {v}")
         if self.repetitions < 1:
             raise HarnessError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.seed < 0:
+            raise HarnessError(f"seed must be >= 0, got {self.seed}")
         if self.cross_centering not in ("paper", "standard"):
             raise HarnessError(
                 f"cross_centering must be 'paper' or 'standard', got {self.cross_centering!r}"
@@ -251,6 +256,9 @@ def _require_mapping(node, context: str) -> dict:
 
 def _value(kind, node, context: str):
     try:
+        # int() would take a bool or a numeric string, or truncate a fractional float
+        if kind is int and (isinstance(node, bool) or int(node) != node):
+            raise ValueError
         return kind(node)
     except (TypeError, ValueError, OverflowError):
         raise HarnessError(f"{context} must be {kind.__name__}, got {node!r}") from None
@@ -322,7 +330,7 @@ def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
     grid_node = _require_mapping(grid_node, "grids") if grid_node else {}
     unknown = set(grid_node) - {"bandwidth_scale", "gamma", "alpha", "epsilon", "q", "k"}
     if unknown:
-        raise HarnessError(f"unknown grid axes {sorted(unknown)}")
+        raise HarnessError(f"unknown grid axes {sorted(unknown, key=str)}")
     kwargs = {}
     for name in ("bandwidth_scale", "gamma", "alpha", "epsilon"):
         if name in grid_node:
@@ -449,13 +457,8 @@ def _base_bandwidth(kernel: KernelSpec, train: LabeledDataset) -> float:
 
 def _method(tag: str, gamma, alpha, epsilon, q) -> Method:
     """The Method at a grid point; axes the tag ignores (None) keep their defaults."""
-    return Method(
-        tag,
-        gamma=1.0 if gamma is None else gamma,
-        alpha=1.0 if alpha is None else alpha,
-        epsilon=1e-5 if epsilon is None else epsilon,
-        q=q,
-    )
+    axes = {"gamma": gamma, "alpha": alpha, "epsilon": epsilon}
+    return Method(tag, q=q, **{name: v for name, v in axes.items() if v is not None})
 
 
 def _fitted_scales(train, val, method_tag, axes, q_max, kernel, cross_centering, failures):

@@ -30,11 +30,11 @@ the trace constraint of the underlying Lagrangian. P has rank at most
 C - 1 (the count-weighted class-mean offsets sum to zero), so at most
 C - 1 eigenvalues are positive.
 
-Only S depends on gamma and alpha. factor_pencil does the n-sized work
-once per (scatters, eps): the n^3/3 Cholesky of A, the whitened QR and T.
-solve_plane then solves any number of (gamma, alpha) points as one stack
-of k x k problems, returned as arrays with no model per point
-(PlaneSolution); solve is its one-point case. The residual screen
+Only S depends on gamma and alpha, so one solve_plane call per
+(scatters, eps) plane does the n-sized work once (the n^3/3 Cholesky of
+A, the whitened QR and T) and solves every (gamma, alpha) point of the
+plane as one stack of k x k problems, returned as arrays with no model per
+point (PlaneSolution); solve is its one-point case. The residual screen
 evaluates D B as W B + eps B + U S (U' B), so D is never formed.
 
 The configured eps is relative: the ridge actually added is
@@ -124,6 +124,13 @@ class ProjectionModel:
         return int(self.coefficients.shape[0])
 
 
+def _check_q(q: int, n: int) -> None:
+    if q < 1:
+        raise SolverError("q must be >= 1")
+    if q > n:
+        raise SolverError(f"q={q} exceeds the number of training samples n={n}")
+
+
 def _truncate(lam, vecs, q):
     """Sign rule and relative tolerance over a stack of descending spectra.
 
@@ -147,34 +154,71 @@ def _truncation_warning(q: int, kept: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class PencilFactor:
-    """The part of the pencil solve fixed by the scatters and epsilon.
+class PlaneSolution:
+    """The solver's result for the P points of one (gamma, alpha) plane.
 
-    invariance_factor is U = [conditional, prior factors]; basis is
-    T = L^{-T} Z (n x k); between and invariance are R_F and R_U, the
-    columns of the whitened QR's R that belong to the between-class factor
-    and to U. See the module docstring.
+    weights (P, 2) holds each point's (gamma, alpha). coefficients
+    (P, n, r) and eigenvalues (P, r) hold every eigenpair, descending and
+    sign-fixed. Point p keeps the first kept[p] pairs (after the tolerance
+    and the residual cut) with warnings[p]; errors[p] is the SolverError
+    solve would raise for it alone (then kept[p] is 0), or None. Every
+    point shares effective_epsilon and requested_q.
     """
 
-    scatters: ScatterSet
+    weights: np.ndarray
+    coefficients: np.ndarray
+    eigenvalues: np.ndarray
+    kept: np.ndarray
+    warnings: list[tuple[str, ...]]
+    errors: list[SolverError | None]
     effective_epsilon: float
-    invariance_factor: np.ndarray
-    basis: np.ndarray
-    between: np.ndarray
-    invariance: np.ndarray
+    requested_q: int
+
+    def model(self, p: int) -> ProjectionModel:
+        """Point p as a bare ProjectionModel, or its SolverError raised."""
+        if self.errors[p] is not None:
+            raise self.errors[p]
+        c = self.kept[p]
+        return ProjectionModel(
+            self.coefficients[p, :, :c], self.eigenvalues[p, :c], *map(float, self.weights[p]),
+            self.effective_epsilon, self.requested_q, self.warnings[p],
+        )
 
 
-def factor_pencil(scatters: ScatterSet, epsilon: float) -> PencilFactor:
-    """Factor within + eps I and whiten the scatter factors against it."""
-    if not epsilon > 0:
-        raise SolverError("epsilon must be > 0")
+def solve_kpca(Kc: np.ndarray, q: int) -> PlaneSolution:
+    """Top q components of the centered Gram matrix (kernel PCA), as one point."""
+    n = Kc.shape[0]
+    _check_q(q, n)
+    lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
+    order = np.argsort(-lam, kind="stable")
+    lam, vecs = lam[None, order], vecs[None, :, order]
+    kept = _truncate(lam, vecs, q)
+    if kept[0] == 0:
+        raise SolverError("centered Gram matrix has no positive eigenvalues")
+    warnings = [_truncation_warning(q, int(kept[0]))]
+    return PlaneSolution(np.zeros((1, 2)), vecs, lam, kept, warnings, [None], 0.0, int(q))
+
+
+def solve_plane(scatters: ScatterSet, weights, q: int, epsilon: float) -> PlaneSolution:
+    """Top eigenpairs of the pencil at every (gamma, alpha) in weights.
+
+    One Cholesky of within + eps I and one whitened QR serve the plane,
+    whose points are then solved as one stack of k x k problems; see
+    PlaneSolution for what each point keeps.
+    """
     F = scatters.between_factor
     U = np.hstack([scatters.conditional_factor, scatters.prior_factor])
     n = F.shape[0]
     if F.ndim != 2 or U.shape[0] != n or scatters.within.shape != (n, n):
         raise SolverError("scatter matrices have inconsistent shapes")
+    _check_q(q, n)
+    ga = np.asarray(weights, dtype=np.float64).reshape(-1, 2)
+    if (ga < 0).any():
+        raise SolverError("gamma and alpha must be >= 0")
+    if not epsilon > 0:
+        raise SolverError("epsilon must be > 0")
     scale = float(np.mean(np.diag(scatters.within)))
-    eff_eps = epsilon * (scale if scale > 0 else 1.0)
+    eff_eps = float(epsilon * (scale if scale > 0 else 1.0))
     A = scatters.within.copy()
     A.flat[:: n + 1] += eff_eps
     try:
@@ -187,62 +231,15 @@ def factor_pencil(scatters: ScatterSet, epsilon: float) -> PencilFactor:
         T = scipy.linalg.solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"generalized eigensolve failed: {exc}") from None
-    C = F.shape[1]
-    return PencilFactor(scatters, float(eff_eps), U, T, R[:, :C], R[:, C:])
-
-
-@dataclass(frozen=True)
-class PlaneSolution:
-    """solve_plane's result for the P points of one (gamma, alpha) plane.
-
-    coefficients (P, n, r) and eigenvalues (P, r) hold every eigenpair,
-    descending and sign-fixed. Point p keeps the first kept[p] pairs (after
-    the tolerance and the residual cut) with warnings[p]; errors[p] is the
-    SolverError solve would raise for it alone (then kept[p] is 0), or None.
-    """
-
-    coefficients: np.ndarray
-    eigenvalues: np.ndarray
-    kept: np.ndarray
-    warnings: list[tuple[str, ...]]
-    errors: list[SolverError | None]
-
-    def model(self, p: int, gamma, alpha, effective_epsilon, q) -> ProjectionModel:
-        """Point p as a bare ProjectionModel, or its SolverError raised."""
-        if self.errors[p] is not None:
-            raise self.errors[p]
-        c = self.kept[p]
-        return ProjectionModel(
-            self.coefficients[p, :, :c], self.eigenvalues[p, :c], float(gamma), float(alpha),
-            float(effective_epsilon), int(q), self.warnings[p],
-        )
-
-
-def solve_plane(factor: PencilFactor, weights, q: int) -> PlaneSolution:
-    """Top eigenpairs of the pencil at every (gamma, alpha) in weights.
-
-    Solves all points as one stack of k x k problems on a factor_pencil
-    result; see PlaneSolution for what each point keeps.
-    """
-    scatters = factor.scatters
-    F = scatters.between_factor
-    n = F.shape[0]
-    if q < 1:
-        raise SolverError("q must be >= 1")
-    if q > n:
-        raise SolverError(f"q={q} exceeds the number of training samples n={n}")
-    ga = np.asarray(weights, dtype=np.float64).reshape(-1, 2)
-    if (ga < 0).any():
-        raise SolverError("gamma and alpha must be >= 0")
+    RF, RU = R[:, : F.shape[1]], R[:, F.shape[1] :]
     n_cond = scatters.conditional_factor.shape[1]
     s = np.repeat(ga, [n_cond, scatters.prior_factor.shape[1]], axis=1)  # diag(S) per point
-    RU = factor.invariance
     P, k = ga.shape[0], RU.shape[0]
     try:
         G = np.linalg.cholesky(np.eye(k) + (RU * s[:, None, :]) @ RU.T)
-        H = np.linalg.solve(G, np.broadcast_to(factor.between, (P, *factor.between.shape)))
+        H = np.linalg.solve(G, np.broadcast_to(RF, (P, *RF.shape)))
         V, sigma, _ = np.linalg.svd(H, full_matrices=False)
-        B = factor.basis @ np.linalg.solve(np.swapaxes(G, 1, 2), V)
+        B = T @ np.linalg.solve(np.swapaxes(G, 1, 2), V)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"generalized eigensolve failed: {exc}") from None
     # singular values come back descending
@@ -253,9 +250,8 @@ def solve_plane(factor: PencilFactor, weights, q: int) -> PlaneSolution:
     # still be pure null-space noise of the (low-rank) numerator; such
     # pairs fail the residual bound and carry no signal, so each component
     # list is cut at its first failure rather than returned unreliable.
-    U = factor.invariance_factor
     PB = F @ (F.T @ B)
-    DB = scatters.within @ B + factor.effective_epsilon * B + U @ (s[:, :, None] * (U.T @ B))
+    DB = scatters.within @ B + eff_eps * B + U @ (s[:, :, None] * (U.T @ B))
     res = np.linalg.norm(PB - DB * lam[:, None, :], axis=1)
     bound = _RESIDUAL_REL * np.maximum(np.linalg.norm(PB, axis=1), _RESIDUAL_FLOOR)
     # first failing pair, or the sentinel column past the last one
@@ -275,7 +271,7 @@ def solve_plane(factor: PencilFactor, weights, q: int) -> PlaneSolution:
             )
         elif c < kept[p]:
             warnings[p] += (f"eigenpairs from index {c} fail the residual bound and were dropped",)
-    return PlaneSolution(B, lam, cut, warnings, errors)
+    return PlaneSolution(ga, B, lam, cut, warnings, errors, eff_eps, int(q))
 
 
 def solve(
@@ -288,9 +284,7 @@ def solve(
     warning. The model is bare: fit_baseline attaches the kernel context
     that project needs. This is the one-point case of solve_plane.
     """
-    factor = factor_pencil(scatters, epsilon)
-    plane = solve_plane(factor, [(gamma, alpha)], q)
-    return plane.model(0, gamma, alpha, factor.effective_epsilon, q)
+    return solve_plane(scatters, [(gamma, alpha)], q, epsilon).model(0)
 
 
 def projection_basis(coefficients: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:

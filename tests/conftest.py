@@ -10,6 +10,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 import condinv as ci  # noqa: E402
 
@@ -48,6 +49,25 @@ def missing_cell_dataset(rng, n_per=4):
     labels = np.repeat([j for _, j in cells], n_per)
     x = rng.normal(size=(labels.size, 2)) + labels[:, None]
     return ci.LabeledDataset(features=x, labels=labels, domains=domains)
+
+
+# the node types safe_load can produce, nested
+yaml_nodes = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers() | st.text(max_size=3) | st.floats(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def paths(tree, prefix=()):
+    """Every key path into the nested dicts of tree."""
+    out = []
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            out.append(prefix + (key,))
+            out.extend(paths(value, prefix + (key,)))
+    return out
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import condinv as ci
 from condinv.classify import ClassifyError, fit_plane, knn_votes, prepare_fit
 from condinv.scatter import ScatterSet
-from condinv.solver import projection_basis
+from condinv.solver import SolverError, projection_basis
 import oracles
 from conftest import missing_cell_dataset, random_dataset
 
@@ -19,13 +19,16 @@ class TestMethod:
         with pytest.raises(ClassifyError, match="unknown method"):
             ci.Method("svm")
 
-    def test_parameter_validation(self):
-        with pytest.raises(ClassifyError):
-            ci.Method("cidg", gamma=-1.0)
-        with pytest.raises(ClassifyError):
-            ci.Method("cidg", epsilon=0.0)
-        with pytest.raises(ClassifyError):
-            ci.Method("cidg", q=0)
+    def test_parameter_validation(self, make_dataset):
+        # the solver checks the values a method uses, when it fits
+        data = make_dataset(n=12)
+        spec = ci.KernelSpec(bandwidth=1.0)
+        for method in (
+            ci.Method("cidg", gamma=-1.0), ci.Method("cidg", epsilon=0.0),
+            ci.Method("cidg", q=0), ci.Method("kpca", q=0),
+        ):
+            with pytest.raises(SolverError):
+                ci.fit_baseline(method, data, spec)
 
     def test_tags_tuple(self):
         assert ci.METHOD_TAGS == ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
@@ -183,7 +186,7 @@ class TestFitBaseline:
 
     def test_q_capped_by_n(self, make_dataset):
         data = make_dataset(n=12)
-        with pytest.raises(ClassifyError, match="exceeds"):
+        with pytest.raises(SolverError, match="exceeds"):
             ci.fit_baseline(ci.Method("cidg", q=13), data, ci.KernelSpec(bandwidth=1.0))
 
     def test_kpca_matches_direct_eigendecomposition(self, make_dataset):

@@ -86,6 +86,19 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize(
+        "spec_seed, override", [("21", ["--seed", "-2"]), ("-3", [])], ids=["flag", "spec"]
+    )
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, spec_seed, override):
+        spec_path = tmp_path / "spec.yaml"
+        spec_path.write_text(SPEC_TEXT.replace("seed: 21", f"seed: {spec_seed}"))
+        out = tmp_path / "data.csv"
+        code = main(["synth", "--spec", str(spec_path), *override, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_spec_fails(self, tmp_path, capsys):
         code = main(["synth", "--spec", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o.csv")])
         assert code == 1
@@ -137,11 +150,24 @@ class TestRun:
         assert digest == "7cf08b4df1ed71feced9a249996b41a2"
 
     def test_benchmark_report_is_pinned(self, tmp_path):
-        # the same guard for the full bundled benchmark run
+        # the same guard for the full bundled benchmark run, and for the
+        # models it saves: they hold what the report does not (coefficients,
+        # gamma, alpha, the effective epsilon and the requested q)
         config = os.path.join(CONFIG_DIR, "benchmark.yaml")
-        assert main(["run", "--config", config, "--out-dir", str(tmp_path)]) == 0
+        models = tmp_path / "models"
+        assert main([
+            "run", "--config", config, "--out-dir", str(tmp_path), "--save-models", str(models),
+        ]) == 0
         digest = hashlib.md5((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == "1a724965f344501ca9bafcda0069e3b8"
+        assert {
+            path.name: hashlib.md5(path.read_bytes()).hexdigest() for path in models.iterdir()
+        } == {
+            "cidg.model": "c34d9d7bb757fc6f68b46613335b7a17",
+            "dica_marginal.model": "da80be1a019795e7ff30d70f3b02166d",
+            "kfda.model": "712799bc89d624ec42dd521e98fa4f38",
+            "kpca.model": "149c449ee6bbfba83c61329bf482f179",
+        }
 
     def test_save_models(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -335,7 +361,8 @@ class TestErrorReporting:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "grids", [{"gamma": 5}, {"gamma": ["much"]}, {"q": [float("inf")]}]
+        "grids",
+        [{"gamma": 5}, {"gamma": ["much"]}, {"q": [float("inf")]}, {"k": [1.7]}, {"q": [2.5]}],
     )
     def test_mistyped_config_is_one_error_line(self, tmp_path, capsys, grids):
         config = write_config(tmp_path)
@@ -346,6 +373,17 @@ class TestErrorReporting:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grids.") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "experiment",
+        [{"repetitions": 1.9}, {"seed": 0.5}, {"seed": -5}, {"source_domains": [[1, 2]]}],
+    )
+    def test_mistyped_experiment_is_one_error_line(self, tmp_path, capsys, experiment):
+        config = write_config(tmp_path, **experiment)
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_one_row_fit_part_is_one_error_line(self, tmp_path, capsys):
         # three source rows of one (domain, class) group split into a

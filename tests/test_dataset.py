@@ -20,6 +20,7 @@ from condinv.dataset import (
     save_csv,
     spec_from_mapping,
 )
+from conftest import paths, yaml_nodes
 
 
 class TestLabeledDataset:
@@ -394,25 +395,6 @@ GOOD_SPEC = {
         2: {1: {"x": [3.5, 0.3], "y": [2.5, 0.3], "count": 2}},
     },
 }
-
-# the node types safe_load can produce, nested
-yaml_nodes = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.integers() | st.text(max_size=3) | st.floats(), inner, max_size=3),
-    max_leaves=12,
-)
-
-
-def paths(tree, prefix=()):
-    """Every key path into the nested dicts of tree."""
-    out = []
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            out.append(prefix + (key,))
-            out.extend(paths(value, prefix + (key,)))
-    return out
-
 
 def spec_or_none(tree):
     """spec_from_mapping on tree: the spec, or None on DatasetError; anything else raises."""

@@ -1,15 +1,19 @@
 """Experiment orchestration: configs, grid search, protocol, reports."""
 
+import copy
+import functools
 import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import condinv as ci
-from condinv.dataset import CellSpec, SyntheticSpec
+from condinv.dataset import CellSpec, DatasetError, SyntheticSpec
 from condinv.harness import HarnessError, _fitted_scales, _method, _method_axes
-from conftest import missing_cell_dataset, random_dataset
+from conftest import missing_cell_dataset, paths, random_dataset, yaml_nodes
 
 
 def small_spec(seed=21, third_domain=None):
@@ -122,38 +126,40 @@ class TestExperimentConfig:
             small_config(cross_centering="fancy")
 
 
-class TestConfigParsing:
-    def tree(self, tmp_path):
-        spec = {
-            "version": 1,
-            "seed": 3,
-            "domains": {
-                s: {
-                    j: {"x": [float(j), 0.3], "y": [float(s), 0.3], "count": 6}
-                    for j in (1, 2)
-                }
-                for s in (1, 2, 3)
-            },
-        }
-        return {
-            "version": 1,
-            "dataset": {"synthetic": spec},
-            "experiment": {
-                "source_domains": ["1", "2"],
-                "target_domains": ["3"],
-                "methods": ["raw_knn", "kpca"],
-                "repetitions": 2,
-                "seed": 9,
-                "train_fraction": 0.6,
-                "validation_fraction": 0.25,
-                "cross_centering": "standard",
-            },
-            "kernel": {"family": "rbf", "bandwidth": "median"},
-            "grids": {"bandwidth_scale": [1.0, 2.0], "k": [1]},
-        }
+def config_tree():
+    """A valid config tree, its synthetic spec inline."""
+    spec = {
+        "version": 1,
+        "seed": 3,
+        "domains": {
+            s: {
+                j: {"x": [float(j), 0.3], "y": [float(s), 0.3], "count": 6}
+                for j in (1, 2)
+            }
+            for s in (1, 2, 3)
+        },
+    }
+    return {
+        "version": 1,
+        "dataset": {"synthetic": spec},
+        "experiment": {
+            "source_domains": ["1", "2"],
+            "target_domains": ["3"],
+            "methods": ["raw_knn", "kpca"],
+            "repetitions": 2,
+            "seed": 9,
+            "train_fraction": 0.6,
+            "validation_fraction": 0.25,
+            "cross_centering": "standard",
+        },
+        "kernel": {"family": "rbf", "bandwidth": "median"},
+        "grids": {"bandwidth_scale": [1.0, 2.0], "k": [1]},
+    }
 
-    def test_full_tree(self, tmp_path):
-        config = ci.config_from_mapping(self.tree(tmp_path))
+
+class TestConfigParsing:
+    def test_full_tree(self):
+        config = ci.config_from_mapping(config_tree())
         assert isinstance(config.dataset, SyntheticSpec)
         assert config.dataset.total == 36
         assert config.source_domains == ("1", "2")
@@ -165,14 +171,14 @@ class TestConfigParsing:
         assert config.grids.k == (1,)
         assert config.grids.gamma == ci.Grids().gamma  # untouched axis keeps default
 
-    def test_version_required(self, tmp_path):
-        tree = self.tree(tmp_path)
+    def test_version_required(self):
+        tree = config_tree()
         tree["version"] = 2
         with pytest.raises(HarnessError, match="version"):
             ci.config_from_mapping(tree)
 
-    def test_exactly_one_dataset_kind(self, tmp_path):
-        tree = self.tree(tmp_path)
+    def test_exactly_one_dataset_kind(self):
+        tree = config_tree()
         tree["dataset"]["csv"] = "data.csv"
         with pytest.raises(HarnessError, match="exactly one"):
             ci.config_from_mapping(tree)
@@ -181,20 +187,20 @@ class TestConfigParsing:
         with pytest.raises(HarnessError, match="exactly one"):
             ci.config_from_mapping(tree)
 
-    def test_unknown_grid_axis(self, tmp_path):
-        tree = self.tree(tmp_path)
+    def test_unknown_grid_axis(self):
+        tree = config_tree()
         tree["grids"]["sigma"] = [1.0]
         with pytest.raises(HarnessError, match="unknown grid axes"):
             ci.config_from_mapping(tree)
 
-    def test_missing_experiment_key(self, tmp_path):
-        tree = self.tree(tmp_path)
+    def test_missing_experiment_key(self):
+        tree = config_tree()
         del tree["experiment"]["methods"]
         with pytest.raises(HarnessError, match="experiment.methods"):
             ci.config_from_mapping(tree)
 
     def test_csv_path_resolves_against_base_dir(self, tmp_path):
-        tree = self.tree(tmp_path)
+        tree = config_tree()
         tree["dataset"] = {"csv": {"path": "inner/data.csv", "label_column": "y"}}
         config = ci.config_from_mapping(tree, base_dir=str(tmp_path))
         assert config.dataset.path == str(tmp_path / "inner" / "data.csv")
@@ -203,8 +209,8 @@ class TestConfigParsing:
     def test_config_from_file_with_relative_spec(self, tmp_path):
         spec_path = tmp_path / "spec.yaml"
         with open(spec_path, "w") as fh:
-            yaml.safe_dump(self.tree(tmp_path)["dataset"]["synthetic"], fh)
-        tree = self.tree(tmp_path)
+            yaml.safe_dump(config_tree()["dataset"]["synthetic"], fh)
+        tree = config_tree()
         tree["dataset"] = {"synthetic": "spec.yaml"}
         config_path = tmp_path / "experiment.yaml"
         with open(config_path, "w") as fh:
@@ -224,6 +230,30 @@ class TestConfigParsing:
         )
         back = ci.load_dataset(csv_config)
         assert np.array_equal(back.features, data.features)
+
+
+class TestConfigFromMappingFuzz:
+    # every key path outside the inline spec, which TestSpecFromMappingFuzz
+    # covers, and not dataset.synthetic itself: a string there names a spec
+    # file, read from disk rather than parsed from the tree
+    PATHS = [p for p in paths(config_tree()) if p[:2] != ("dataset", "synthetic")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PATHS), yaml_nodes | st.lists(yaml_nodes, max_size=3))
+    @example(("experiment", "source_domains"), [[1, 2]])
+    @example(("experiment", "repetitions"), 1.9)
+    @example(("grids", "k"), [True])
+    def test_wrong_node_types(self, path, node):
+        # a malformed tree raises the package's own errors and nothing else
+        tree = config_tree()
+        parent = functools.reduce(lambda branch, key: branch[key], path[:-1], tree)
+        parent[path[-1]] = copy.deepcopy(node)
+        try:
+            config = ci.config_from_mapping(tree)
+        except (HarnessError, DatasetError):
+            return
+        # an integer key that parsed holds the integer the tree gave
+        assert config.repetitions == tree["experiment"].get("repetitions", 5)
 
 
 class TestGridSearch:
@@ -397,11 +427,11 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("tag", ["kfda", "cidg"])
     def test_one_factorization_and_one_stacked_solve_per_plane(self, tag, monkeypatch):
-        # every (scale, epsilon) plane is factored once and solved in one
-        # stacked call; no grid point falls back to its own solve
+        # every (scale, epsilon) plane is factored and solved in one
+        # solve_plane call; no grid point falls back to its own solve
         import condinv.classify
 
-        calls = {"factor_pencil": 0, "solve_plane": [], "solve": 0}
+        calls = {"solve_plane": [], "solve": 0}
 
         def counted(name, inner):
             def wrapper(*args, **kwargs):
@@ -423,7 +453,6 @@ class TestGridSearch:
         train, val, fit_part = self.parts()
         ci.grid_search(fit_part, val, tag, grids)
         plane = 3 * 2 if tag == "cidg" else 1
-        assert calls["factor_pencil"] == 3 * 2
         assert calls["solve_plane"] == [plane] * (3 * 2)
         assert calls["solve"] == 0
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import condinv as ci
 from condinv.kernel import CenteringStats
 from condinv.scatter import ScatterSet
-from condinv.solver import SolverError, factor_pencil, projection_basis, solve_plane
+from condinv.solver import SolverError, projection_basis, solve_kpca, solve_plane
 import oracles
 from conftest import random_dataset
 
@@ -38,15 +38,19 @@ class TestSolverConfig:
 
     def test_validation(self):
         scatters = diagonal_scatters([4.0, 1.0], 2)
-        factor = factor_pencil(scatters, 1e-5)
         with pytest.raises(SolverError, match="gamma and alpha"):
-            solve_plane(factor, [(-0.1, 1.0)], 1)
+            solve_plane(scatters, [(-0.1, 1.0)], 1, 1e-5)
         with pytest.raises(SolverError, match="gamma and alpha"):
-            solve_plane(factor, [(1.0, -1.0)], 1)
+            solve_plane(scatters, [(1.0, -1.0)], 1, 1e-5)
         with pytest.raises(SolverError, match="epsilon"):
-            factor_pencil(scatters, 0.0)
+            solve_plane(scatters, [(1.0, 1.0)], 1, 0.0)
         with pytest.raises(SolverError, match="q must be >= 1"):
-            solve_plane(factor, [(1.0, 1.0)], 0)
+            solve_plane(scatters, [(1.0, 1.0)], 0, 1e-5)
+        # kernel PCA shares the q check
+        with pytest.raises(SolverError, match="q must be >= 1"):
+            solve_kpca(np.eye(2), 0)
+        with pytest.raises(SolverError, match="exceeds"):
+            solve_kpca(np.eye(2), 3)
         # solve runs the same checks
         with pytest.raises(SolverError, match="gamma and alpha"):
             ci.solve(scatters, 1, gamma=-0.1)
@@ -263,8 +267,7 @@ class TestSolvePlane:
     @given(pencil_planes())
     def test_plane_matches_dense_eigh(self, case):
         scatters, plane, q = case
-        factor = factor_pencil(scatters, 1e-5)
-        solution = solve_plane(factor, plane, q)
+        solution = solve_plane(scatters, plane, q, 1e-5)
         assert len(solution.kept) == len(solution.errors) == len(plane)
         for p, (gamma, alpha) in enumerate(plane):
             lam, vecs, warnings = oracles.pencil_eig_dense(
@@ -285,11 +288,15 @@ class TestSolvePlane:
         for data in TestSolveRandom().instances():
             scatters, _, _ = fit_scatters(data)
             plane = [(g, a) for g in (0.0, 0.1, 1.0, 10.0) for a in (0.0, 0.5, 2.0)]
-            solution = solve_plane(factor_pencil(scatters, 1e-4), plane, 4)
+            solution = solve_plane(scatters, plane, 4, 1e-4)
             for p, (gamma, alpha) in enumerate(plane):
                 want = ci.solve(scatters, 4, gamma, alpha, epsilon=1e-4)
                 c = solution.kept[p]
                 assert solution.errors[p] is None
+                got = solution.model(p)
+                assert (got.gamma, got.alpha, got.effective_epsilon, got.requested_q) == (
+                    gamma, alpha, want.effective_epsilon, 4
+                )
                 assert solution.warnings[p] == want.warnings
                 assert c == want.n_components
                 assert np.allclose(
@@ -304,9 +311,7 @@ class TestSolvePlane:
     def test_point_failures_are_returned_in_place(self):
         # a zero between factor at one point cannot be told apart from the
         # others by the factorization; every point reports the error solve raises
-        solution = solve_plane(
-            factor_pencil(diagonal_scatters([0.0, 0.0], 2), 1e-5), [(0, 0)] * 2, 1
-        )
+        solution = solve_plane(diagonal_scatters([0.0, 0.0], 2), [(0, 0)] * 2, 1, 1e-5)
         assert [str(e) for e in solution.errors] == [
             "no positive eigenvalues: the between-class scatter is zero"
         ] * 2
