@@ -18,7 +18,6 @@ from .dataset import (
     generate_synthetic,
     group_index,
     load_csv,
-    load_spec,
     save_csv,
     split,
 )
@@ -77,6 +76,7 @@ from .harness import (
     export_features,
     grid_search,
     load_dataset,
+    load_spec,
     refit_repetition,
     repetition_parts,
     report_json,

@@ -20,7 +20,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import yaml
 
 from .classify import ClassifyError
 from .dataset import (
@@ -28,7 +27,6 @@ from .dataset import (
     generate_synthetic,
     load_csv,
     load_features,
-    load_spec,
     save_csv,
 )
 from .harness import (
@@ -36,6 +34,7 @@ from .harness import (
     config_from_file,
     export_features,
     grid_search,
+    load_spec,
     refit_repetition,
     repetition_parts,
     report_json,
@@ -47,14 +46,7 @@ from .scatter import ScatterError
 from .solver import SolverError, load_model, project, save_model
 
 _ERRORS = (
-    HarnessError,
-    DatasetError,
-    KernelError,
-    ScatterError,
-    SolverError,
-    ClassifyError,
-    OSError,
-    yaml.YAMLError,
+    HarnessError, DatasetError, KernelError, ScatterError, SolverError, ClassifyError, OSError
 )
 
 
@@ -140,11 +132,13 @@ def _cmd_run(args) -> int:
 def _cmd_grid(args) -> int:
     config = config_from_file(args.config)
     _, val, fit_part = repetition_parts(config, args.repetition)
-    tree = {
-        tag: grid_search(fit_part, val, tag, config.grids, kernel=config.kernel,
-                         cross_centering=config.cross_centering).to_dict()
-        for tag in config.methods
-    }
+    tree = {}
+    for tag in config.methods:
+        chosen = grid_search(fit_part, val, tag, config.grids, kernel=config.kernel,
+                             cross_centering=config.cross_centering)
+        for warning in chosen.warnings:
+            print(f"warning: {tag}: {warning}", file=sys.stderr)
+        tree[tag] = chosen.to_dict()
     text = json.dumps(tree, indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)

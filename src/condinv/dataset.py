@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import yaml
 
 
 class DatasetError(ValueError):
@@ -163,7 +162,7 @@ class SyntheticSpec:
     """Per-(domain, class) Gaussian cells plus the generator seed."""
 
     cells: Mapping[tuple[int, int], CellSpec]
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         if not self.cells:
@@ -227,73 +226,6 @@ def benchmark_spec(seed: int = 7) -> SyntheticSpec:
         for key, (mean, count) in layout.items()
     }
     return SyntheticSpec(cells=cells, seed=seed)
-
-
-def spec_from_mapping(mapping: Mapping) -> SyntheticSpec:
-    """Build a SyntheticSpec from the documented key-value layout.
-
-    Expected shape (version 1)::
-
-        version: 1
-        seed: 7
-        domains:
-          1:
-            1: {x: [1.0, 0.3], y: [2.0, 0.3], count: 30}
-            ...
-    """
-    if not isinstance(mapping, Mapping):
-        raise DatasetError("synthetic spec must be a key-value mapping")
-    version = mapping.get("version", 1)
-    if version != 1:
-        raise DatasetError(f"unsupported synthetic spec version: {version!r}")
-    if "domains" not in mapping:
-        raise DatasetError("synthetic spec needs a 'domains' section")
-    try:
-        seed = int(mapping.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetError(f"seed must be an integer, got {mapping.get('seed')!r}") from None
-    if not isinstance(mapping["domains"], Mapping):
-        raise DatasetError("synthetic spec 'domains' must map domain ids to classes")
-    cells: dict[tuple[int, int], CellSpec] = {}
-    for dom_key, classes in mapping["domains"].items():
-        s = _parse_id(dom_key, "domain")
-        if not isinstance(classes, Mapping):
-            raise DatasetError(f"domain {s}: expected a mapping of classes")
-        for cls_key, cell in classes.items():
-            j = _parse_id(cls_key, "class")
-            try:
-                x_mean, x_std = (float(v) for v in cell["x"])
-                y_mean, y_std = (float(v) for v in cell["y"])
-                count = int(cell["count"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DatasetError(
-                    f"domain {s} class {j}: cell needs x: [mean, std], "
-                    f"y: [mean, std], count ({exc})"
-                ) from None
-            cells[(s, j)] = CellSpec(mean=(x_mean, y_mean), std=(x_std, y_std), count=count)
-    return SyntheticSpec(cells=cells, seed=seed)
-
-
-def load_spec(path) -> SyntheticSpec:
-    """Read a synthetic spec file (YAML key-value tree)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            mapping = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise DatasetError(f"spec file not found: {path}") from None
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot parse spec file {path}: {exc}") from None
-    return spec_from_mapping(mapping)
-
-
-def _parse_id(key, what: str) -> int:
-    try:
-        value = int(key)
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetError(f"{what} ids must be integers, got {key!r}") from None
-    if value < 1:
-        raise DatasetError(f"{what} ids must be >= 1, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +305,7 @@ def _read_table(path, delimiter: str) -> tuple[list[str], list[tuple[int, list[s
             records = list(csv.reader(fh, delimiter=delimiter))
     except FileNotFoundError:
         raise DatasetError(f"file not found: {path}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # a directory, a NUL in the path, not UTF-8
         raise DatasetError(f"{path}: not a readable UTF-8 delimited text file ({exc})") from None
     if not records:
         raise DatasetError(f"{path}: file is empty")

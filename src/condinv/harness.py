@@ -59,7 +59,9 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import yaml
@@ -76,19 +78,17 @@ from .classify import (
     prepare_fit,
 )
 from .dataset import (
+    CellSpec,
+    DatasetError,
     LabeledDataset,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    load_spec,
-    spec_from_mapping,
     split,
 )
-from .kernel import MEDIAN, KernelError, KernelSpec
+from .kernel import KernelError, KernelSpec
 from .scatter import ScatterError
 from .solver import ProjectionModel, SolverError, centered_cross_kernel, project, projection_basis
-
-CONFIG_VERSION = 1
 
 _DECADES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -246,124 +246,158 @@ class ResultRecord:
     methods: tuple[MethodResult, ...]
 
 
-# --- configuration files ---------------------------------------------------
+# --- config and spec trees -------------------------------------------------
+# One reader for config and spec: each value passes _value's scalar rule, and
+# each mapping level has a key table (noun for errors, required keys, key ->
+# parse(node, context for messages, error class)) that rejects unknown keys.
+# An absent key is not passed on, so defaults live on the dataclasses alone;
+# null means absent for the _NULLABLE keys only.
 
-def _require_mapping(node, context: str) -> dict:
-    if not isinstance(node, dict):
-        raise HarnessError(f"{context} must be a mapping, got {type(node).__name__}")
+_KINDS = {int: "integers", float: "numbers", str: "strings"}
+_NULLABLE = {"kernel", "grids", "q", "feature_columns"}
+
+
+def _value(kind, node, context: str, error):
+    """node as kind: never a bool, a string only for str, a whole number for int."""
+    try:
+        # int() and float() would take a bool or a numeric string, and int() truncates
+        wrong = isinstance(node, bool) or not isinstance(node, (int, float, kind))
+        if wrong or (kind is int and int(node) != node):
+            raise ValueError
+        return kind(node)
+    except (ValueError, OverflowError):
+        raise error(f"{context} takes {_KINDS[kind]}, got {node!r}") from None
+
+
+def _values(kind, node, context: str, error) -> tuple:
+    """A list's items as kind; kind None keeps them as they are."""
+    if not isinstance(node, (list, tuple)):
+        raise error(f"{context} must be a list, got {type(node).__name__}")
+    return tuple(v if kind is None else _value(kind, v, context, error) for v in node)
+
+
+def _mapping(node, context: str, error) -> Mapping:
+    if not isinstance(node, Mapping):
+        raise error(f"{context or 'the top level'} must be a mapping, got {type(node).__name__}")
     return node
 
 
-def _value(kind, node, context: str):
+def _fields(table, node, context: str, error) -> dict:
+    """The keys present in mapping node, each read by its parse in table."""
+    noun, required, parsers = table
+    unknown = sorted(str(key) for key in _mapping(node, context, error) if key not in parsers)
+    if unknown:
+        raise error(f"unknown {noun} {unknown}; known: {sorted(parsers)}")
+    prefix = f"{context}." if context else ""
+    missing = [key for key in required if key not in node]
+    if missing:
+        raise error(f"{prefix}{missing[0]} is required")
+    return {
+        key: parsers[key](value, prefix + key, error)
+        for key, value in node.items() if not (value is None and key in _NULLABLE)
+    }
+
+
+def _cells(node, context: str, error) -> dict:
+    """A spec's domains tree as {(domain id, class id): CellSpec}."""
+    cells = {}
+    for s, classes in _mapping(node, context, error).items():
+        s = _value(int, s, "domain id", error)
+        for j, cell in _mapping(classes, f"{context}.{s}", error).items():
+            j = _value(int, j, "class id", error)
+            f = _fields(_CELL, cell, f"domain {s} class {j}", error)
+            if len(f["x"]) != 2 or len(f["y"]) != 2:
+                raise error(f"domain {s} class {j}: x and y must be [mean, std]")
+            cells[(s, j)] = CellSpec(*zip(f["x"], f["y"]), f["count"])  # (means), (stds)
+    return cells
+
+
+def _spec(node, context: str, error) -> SyntheticSpec:
+    fields = _fields(_SPEC, node, context, error)
+    if fields.pop("version", 1) != 1:
+        raise error(f"unsupported synthetic spec version {node['version']!r}")
+    return SyntheticSpec(cells=fields.pop("domains"), **fields)
+
+
+_int, _float, _str = (partial(_value, kind) for kind in (int, float, str))
+_list, _ints, _floats, _strs = (partial(_values, kind) for kind in (None, int, float, str))
+
+_CELL = ("cell keys", ("x", "y", "count"), {"x": _floats, "y": _floats, "count": _int})
+_SPEC = ("spec keys", ("domains",), {"version": _int, "seed": _int, "domains": _cells})
+_CSV = ("dataset.csv keys", ("path",), {
+    "path": _str, "label_column": _str, "domain_column": _str, "feature_columns": _strs,
+})
+_DATASET = ("dataset keys", (), {
+    # a string names a spec file, read once base_dir is known; spec errors stay DatasetError
+    "synthetic": lambda n, c, e: n if isinstance(n, str) else _spec(n, c, DatasetError),
+    "csv": lambda n, c, e: CsvSource(
+        **_fields(_CSV, {"path": n} if isinstance(n, str) else n, c, e)
+    ),
+})
+_EXPERIMENT = ("experiment keys", ("source_domains", "target_domains", "methods"), {
+    "source_domains": _list, "target_domains": _list, "methods": _strs,
+    "repetitions": _int, "seed": _int, "train_fraction": _float,
+    "validation_fraction": _float, "cross_centering": _str,
+})
+_KERNEL = ("kernel keys", (), {
+    # a string defers to the data, and KernelSpec takes only "median"
+    "family": _str, "bandwidth": lambda n, c, e: n if isinstance(n, str) else _float(n, c, e),
+})
+_GRIDS = ("grid axes", (), {
+    "bandwidth_scale": _floats, "gamma": _floats, "alpha": _floats, "epsilon": _floats,
+    "q": _ints, "k": _ints,
+})
+_CONFIG = ("config keys", ("version", "dataset", "experiment"), {
+    "version": _int, "dataset": partial(_fields, _DATASET),
+    "experiment": partial(_fields, _EXPERIMENT),
+    "kernel": lambda n, c, e: KernelSpec(**_fields(_KERNEL, n, c, e)),
+    "grids": lambda n, c, e: Grids(**_fields(_GRIDS, n, c, e)),
+})
+
+
+def _load_yaml(path, what: str, error):
+    """The tree in a YAML file; failing to open, decode or parse it raises error."""
     try:
-        # int() would take a bool or a numeric string, or truncate a fractional float
-        if kind is int and (isinstance(node, bool) or int(node) != node):
-            raise ValueError
-        return kind(node)
-    except (TypeError, ValueError, OverflowError):
-        raise HarnessError(f"{context} must be {kind.__name__}, got {node!r}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        raise error(f"cannot read {what} file {path}: {' '.join(str(exc).split())}") from None
 
 
-def _list(node, context: str) -> tuple:
-    if not isinstance(node, (list, tuple)):
-        raise HarnessError(f"{context} must be a list, got {type(node).__name__}")
-    return tuple(node)
+def spec_from_mapping(mapping) -> SyntheticSpec:
+    """Build a SyntheticSpec from its key-value tree (layout in docs/formats.md)."""
+    return _spec(mapping, "", DatasetError)
 
 
-def _values(kind, node, context: str) -> tuple:
-    return tuple(_value(kind, v, context) for v in _list(node, context))
+def load_spec(path) -> SyntheticSpec:
+    """Read a synthetic spec file (YAML key-value tree)."""
+    return spec_from_mapping(_load_yaml(path, "spec", DatasetError))
 
 
 def config_from_mapping(tree: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config tree (schema version 1)."""
-    tree = _require_mapping(tree, "config root")
-    version = tree.get("version")
-    if version != CONFIG_VERSION:
-        raise HarnessError(f"unsupported config version {version!r}; expected {CONFIG_VERSION}")
-
-    ds_node = _require_mapping(tree.get("dataset"), "dataset")
-    if ("synthetic" in ds_node) == ("csv" in ds_node):
-        raise HarnessError("dataset needs exactly one of 'synthetic' or 'csv'")
-    if "synthetic" in ds_node:
-        spec_node = ds_node["synthetic"]
-        if isinstance(spec_node, str):
-            dataset = load_spec(os.path.join(base_dir, spec_node))
-        else:
-            dataset = spec_from_mapping(_require_mapping(spec_node, "dataset.synthetic"))
-    else:
-        csv_node = ds_node["csv"]
-        if isinstance(csv_node, str):
-            csv_node = {"path": csv_node}
-        csv_node = _require_mapping(csv_node, "dataset.csv")
-        if "path" not in csv_node:
-            raise HarnessError("dataset.csv requires a 'path'")
-        cols = csv_node.get("feature_columns")
-        dataset = CsvSource(
-            path=os.path.join(base_dir, str(csv_node["path"])),
-            label_column=str(csv_node.get("label_column", "label")),
-            domain_column=str(csv_node.get("domain_column", "domain")),
-            feature_columns=None if cols is None else _values(str, cols, "feature_columns"),
-        )
-
-    exp = _require_mapping(tree.get("experiment"), "experiment")
-    for key in ("source_domains", "target_domains", "methods"):
-        if key not in exp:
-            raise HarnessError(f"experiment.{key} is required")
-
-    kernel_node = tree.get("kernel", {})
-    kernel_node = _require_mapping(kernel_node, "kernel") if kernel_node else {}
     try:
-        kernel = KernelSpec(
-            family=str(kernel_node.get("family", "rbf")),
-            bandwidth=(
-                kernel_node["bandwidth"]
-                if isinstance(kernel_node.get("bandwidth", MEDIAN), str)
-                else _value(float, kernel_node["bandwidth"], "kernel.bandwidth")
-            )
-            if "bandwidth" in kernel_node
-            else MEDIAN,
-        )
+        fields = _fields(_CONFIG, tree, "", HarnessError)
     except KernelError as exc:
         raise HarnessError(f"kernel: {exc}") from exc
-
-    grid_node = tree.get("grids", {})
-    grid_node = _require_mapping(grid_node, "grids") if grid_node else {}
-    unknown = set(grid_node) - {"bandwidth_scale", "gamma", "alpha", "epsilon", "q", "k"}
-    if unknown:
-        raise HarnessError(f"unknown grid axes {sorted(unknown, key=str)}")
-    kwargs = {}
-    for name in ("bandwidth_scale", "gamma", "alpha", "epsilon"):
-        if name in grid_node:
-            kwargs[name] = _values(float, grid_node[name], f"grids.{name}")
-    if "q" in grid_node and grid_node["q"] is not None:
-        kwargs["q"] = _values(int, grid_node["q"], "grids.q")
-    if "k" in grid_node:
-        kwargs["k"] = _values(int, grid_node["k"], "grids.k")
-
-    return ExperimentConfig(
-        dataset=dataset,
-        source_domains=_list(exp["source_domains"], "experiment.source_domains"),
-        target_domains=_list(exp["target_domains"], "experiment.target_domains"),
-        methods=_values(str, exp["methods"], "experiment.methods"),
-        kernel=kernel,
-        grids=Grids(**kwargs),
-        train_fraction=_value(float, exp.get("train_fraction", 0.7), "experiment.train_fraction"),
-        validation_fraction=_value(
-            float, exp.get("validation_fraction", 0.3), "experiment.validation_fraction"
-        ),
-        repetitions=_value(int, exp.get("repetitions", 5), "experiment.repetitions"),
-        seed=_value(int, exp.get("seed", 0), "experiment.seed"),
-        cross_centering=str(exp.get("cross_centering", "paper")),
-    )
+    if fields.pop("version") != 1:
+        raise HarnessError(f"unsupported config version {tree['version']!r}; expected 1")
+    sources = list(fields.pop("dataset").values())
+    if len(sources) != 1:
+        raise HarnessError("dataset needs exactly one of 'synthetic' or 'csv'")
+    dataset = sources[0]  # data paths resolve against base_dir
+    if isinstance(dataset, str):
+        dataset = load_spec(os.path.join(base_dir, dataset))
+    elif isinstance(dataset, CsvSource):
+        dataset = replace(dataset, path=os.path.join(base_dir, dataset.path))
+    return ExperimentConfig(dataset=dataset, **fields.pop("experiment"), **fields)
 
 
 def config_from_file(path: str) -> ExperimentConfig:
     """Read a YAML experiment config; relative data paths resolve beside it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tree = yaml.safe_load(fh)
-    except UnicodeDecodeError as exc:
-        raise HarnessError(f"{path}: config is not UTF-8 text ({exc})") from None
+    tree = _load_yaml(path, "config", HarnessError)
     return config_from_mapping(tree, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

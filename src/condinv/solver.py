@@ -415,6 +415,8 @@ def load_model(path) -> ProjectionModel:
             blob = fh.read()
     except FileNotFoundError:
         raise SolverError(f"model file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # a directory, a NUL in the path
+        raise SolverError(f"cannot read model file {path}: {exc}") from None
     if blob[: len(_MAGIC)] != _MAGIC:
         raise SolverError(f"{path}: not a model file (bad magic)")
     off = len(_MAGIC)

@@ -236,6 +236,22 @@ class TestGrid:
         assert code == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_partial_failures_warn_on_stderr(self, tmp_path, capsys):
+        # at a billion times the median bandwidth every cidg solve fails (see
+        # test_harness.py::test_partial_failures_warn_once); the winners on
+        # stdout are those of the grid without that scale
+        config = write_config(tmp_path)
+        assert main(["grid", "--config", str(config)]) == 0
+        clean = capsys.readouterr()
+        tree = yaml.safe_load(config.read_text())
+        tree["grids"]["bandwidth_scale"] = [1.0, 1e9]
+        config.write_text(yaml.safe_dump(tree))
+        assert main(["grid", "--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert out == clean.out and clean.err == ""
+        assert err.startswith("warning: cidg: grid search: 2 of 4 points failed; first: ")
+        assert err.count("\n") == 1
+
 
 class TestProjectAndExport:
     def make_model(self, tmp_path):
@@ -403,6 +419,18 @@ class TestErrorReporting:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: kpca needs at least 2 fit rows") and err.count("\n") == 1
+
+    def test_unopenable_csv_path_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "experiment.yaml"
+        config.write_text(yaml.safe_dump({
+            "version": 1,
+            "dataset": {"csv": "a\0b"},
+            "experiment": {"source_domains": ["s"], "target_domains": ["t"], "methods": ["kpca"]},
+        }))
+        code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "null byte" in err and err.count("\n") == 1
 
     def test_value_error_from_the_library_propagates(self, tmp_path, monkeypatch):
         # a bare ValueError is a programming error, not a diagnosed failure

@@ -5,7 +5,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import condinv as ci
@@ -16,10 +16,9 @@ from condinv.dataset import (
     SyntheticSpec,
     group_index,
     load_features,
-    load_spec,
     save_csv,
-    spec_from_mapping,
 )
+from condinv.harness import load_spec, spec_from_mapping
 from conftest import paths, yaml_nodes
 
 
@@ -404,6 +403,11 @@ def spec_or_none(tree):
         return None
 
 
+def is_integer(parsed, given) -> bool:
+    """Whether parsed equals the tree's value given, which is no bool (True == 1)."""
+    return parsed == given and not isinstance(given, bool)
+
+
 class TestSpecFromMappingFuzz:
     @pytest.mark.parametrize("domains", [[1, 2], None, "12", 7])
     def test_non_mapping_domains(self, domains):
@@ -427,13 +431,24 @@ class TestSpecFromMappingFuzz:
         spec_or_none({"version": 1, "domains": tree})
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_wrong_node_types(self, data):
+    @given(st.sampled_from(paths(GOOD_SPEC)), yaml_nodes)
+    @example(("seed",), 0.5)
+    @example(("seed",), True)
+    @example(("domains", 1, 1, "count"), 2.7)
+    @example(("domains",), {1.5: {1: {"x": [1.0, 0.3], "y": [2.0, 0.3], "count": 3}}})
+    def test_wrong_node_types(self, path, node):
         tree = copy.deepcopy(GOOD_SPEC)
-        path = data.draw(st.sampled_from(paths(tree)))
-        parent = functools.reduce(lambda node, key: node[key], path[:-1], tree)
-        parent[path[-1]] = data.draw(yaml_nodes)
-        spec_or_none(tree)
+        parent = functools.reduce(lambda branch, key: branch[key], path[:-1], tree)
+        parent[path[-1]] = copy.deepcopy(node)
+        spec = spec_or_none(tree)
+        if spec is None:
+            return
+        # a seed, count or id that parsed holds the integer the tree gave
+        assert is_integer(spec.seed, tree.get("seed", 0))
+        for s, classes in tree["domains"].items():
+            for j, cell in classes.items():
+                assert (s, j) in spec.cells and not isinstance(s, bool) and not isinstance(j, bool)
+                assert is_integer(spec.cells[(s, j)].count, cell["count"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -446,6 +461,19 @@ class TestSpecFromMappingFuzz:
             except KeyError:
                 pass  # an earlier deletion removed it already
         spec_or_none(tree)
+
+
+@pytest.mark.parametrize(
+    "load, error",
+    [(ci.load_csv, DatasetError), (load_features, DatasetError), (ci.load_model, ci.SolverError)],
+    ids=["load_csv", "load_features", "load_model"],
+)
+@pytest.mark.parametrize("where", ["directory", "nul"])
+def test_unopenable_path_is_a_package_error(tmp_path, load, error, where):
+    # opening a directory or a path with a NUL byte fails before any byte is read
+    path = str(tmp_path) if where == "directory" else str(tmp_path / "a\0b")
+    with pytest.raises(error, match="cannot|not a readable"):
+        load(path)
 
 
 @pytest.fixture(scope="module")

@@ -256,6 +256,51 @@ class TestConfigFromMappingFuzz:
         assert config.repetitions == tree["experiment"].get("repetitions", 5)
 
 
+class TestKeyTables:
+    # per mapping level of the config and its inline spec: its key path and a misspelt key
+    LEVELS = {
+        "config": ((), "grid", HarnessError),
+        "dataset": (("dataset",), "synthtic", HarnessError),
+        "dataset.csv": (("dataset", "csv"), "label", HarnessError),
+        "experiment": (("experiment",), "cross_centring", HarnessError),
+        "kernel": (("kernel",), "bandwith", HarnessError),
+        "grids": (("grids",), "gama", HarnessError),
+        "spec": (("dataset", "synthetic"), "sed", DatasetError),
+        "cell": (("dataset", "synthetic", "domains", 1, 1), "cnt", DatasetError),
+    }
+
+    @pytest.mark.parametrize("level", list(LEVELS))
+    def test_unknown_key_is_rejected(self, level):
+        path, key, error = self.LEVELS[level]
+        tree = config_tree()
+        if level == "dataset.csv":
+            tree["dataset"] = {"csv": {"path": "d.csv"}}
+        functools.reduce(lambda branch, k: branch[k], path, tree)[key] = 1
+        with pytest.raises(error, match=f"unknown .*'{key}'"):
+            ci.config_from_mapping(tree)
+
+    @pytest.mark.parametrize("where", ["nul", "empty", "directory"])
+    def test_unreadable_spec_path_is_a_dataset_error(self, tmp_path, where):
+        (tmp_path / "specs").mkdir()
+        tree = config_tree()
+        tree["dataset"]["synthetic"] = {"nul": "a\0b", "empty": "", "directory": "specs"}[where]
+        with pytest.raises(DatasetError, match="spec file"):
+            ci.config_from_mapping(tree, base_dir=str(tmp_path))
+
+    def test_null_reads_as_absent_only_where_documented(self):
+        tree = config_tree()
+        tree.update(kernel=None, grids={"q": None})
+        config = ci.config_from_mapping(tree)
+        assert config.kernel == ci.KernelSpec() and config.grids == ci.Grids()
+        tree["dataset"] = {"csv": {"path": "d.csv", "feature_columns": None}}
+        assert ci.config_from_mapping(tree).dataset.feature_columns is None
+        for section, key in [("experiment", "seed"), ("kernel", "family"), ("grids", "k")]:
+            tree = config_tree()
+            tree[section][key] = None
+            with pytest.raises(HarnessError, match=f"{section}.{key}"):
+                ci.config_from_mapping(tree)
+
+
 class TestGridSearch:
     def parts(self, config=None):
         return ci.repetition_parts(config or small_config(), 0)
