@@ -40,7 +40,15 @@ from .scatter import (
     uniform_domain_weights,
     within_scatter,
 )
-from .solver import PlaneSolution, ProjectionModel, default_q, solve, solve_kpca, solve_plane
+from .solver import (
+    PlaneSolution,
+    ProjectionModel,
+    default_q,
+    range_basis,
+    solve,
+    solve_kpca,
+    solve_plane,
+)
 
 METHOD_TAGS = ("raw_knn", "kpca", "dica_marginal", "kfda", "cidg")
 
@@ -115,20 +123,27 @@ def knn_votes(
     sums = np.cumsum(np.where(hit, near[None], 0.0), axis=2)[:, :, ks - 1]
     tied = votes == votes.max(axis=0)
     low = np.where(tied, sums, np.inf).min(axis=0)
-    winner = np.argmax(tied & (sums == low), axis=0)
+    # "not above" rather than "equal": a NaN distance sum must not take the
+    # win from the class with the most votes
+    winner = np.argmax(tied & ~(sums > low), axis=0)
     out = classes[winner.T]
     return out if train.ndim == 2 else out.reshape(ks.size, *test.shape[:2]).swapaxes(0, 1)
 
 
 def _neighbor_order(dists: np.ndarray, k: int) -> np.ndarray:
     """Per test row, the k nearest training rows ranked by (distance, row index)."""
-    cand = np.sort(np.argpartition(dists, k - 1, axis=1)[:, :k], axis=1)
-    order = np.argsort(np.take_along_axis(dists, cand, axis=1), axis=1, kind="stable")
-    nearest = np.take_along_axis(cand, order, axis=1)
-    # the partition keeps an arbitrary subset of the rows tied at the k-th
-    # distance; a row with such a tie (or a NaN) takes the full stable sort
-    kth = np.take_along_axis(dists, nearest[:, -1:], axis=1)
-    redo = np.count_nonzero(dists <= kth, axis=1) != k
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    near = dists <= kth
+    exact = np.count_nonzero(near, axis=1) == k
+    # a row with exactly k candidates lists them in index order, so the
+    # stable sort of their distances ranks them by (distance, row index)
+    rows = np.flatnonzero(exact)
+    cand = (np.flatnonzero(near[rows]) % dists.shape[1]).reshape(-1, k)
+    order = np.argsort(dists[rows[:, None], cand], axis=1, kind="stable")
+    nearest = np.empty((len(dists), k), dtype=np.intp)
+    nearest[rows] = np.take_along_axis(cand, order, axis=1)
+    # a row with a tie at the k-th distance (or a NaN) takes the full stable sort
+    redo = ~exact
     if redo.any():
         nearest[redo] = np.argsort(dists[redo], axis=1, kind="stable")[:, :k]
     return nearest
@@ -165,11 +180,15 @@ class PreparedFit:
 
     Everything here is fixed once the method tag, the training set and the
     bandwidth are: the resolved kernel, the centered Gram matrix Kc and its
-    centering statistics, and (for the pencil methods) the scatter
-    matrices. fit_plane adds gamma, alpha, epsilon and q, so one
-    PreparedFit serves every point of a (gamma, alpha, epsilon, q) grid.
-    The training coordinates of any model fitted from it are Kc.T times
-    its projection_basis, as project computes them.
+    centering statistics, the orthonormal range basis Q of Kc (n x m)
+    that the solve works in (None, the identity, when Kc's numerical rank
+    m exceeds n / 2; see solver.range_basis), and (for the pencil methods)
+    the scatter matrices, whose factors are then m x r and whose within
+    term is m x m, in Q's coordinates. fit_plane adds gamma, alpha,
+    epsilon and q, so one PreparedFit serves every point of a
+    (gamma, alpha, epsilon, q) grid. The training coordinates of any model
+    fitted from it are Kc.T times its projection_basis, as project
+    computes them.
     """
 
     tag: str
@@ -178,6 +197,7 @@ class PreparedFit:
     centering: CenteringStats
     Kc: np.ndarray
     default_q: int
+    basis: np.ndarray | None = None
     scatters: ScatterSet | None = None
     adjustments: tuple[str, ...] = ()
 
@@ -205,25 +225,28 @@ def prepare_fit(
     Kc = center_train(K)
     groups = group_index(train)
     q = default_q(train.n, len(groups.per_class), len(groups.per_domain))
+    Q = range_basis(Kc)
     if tag == "kpca":
-        return PreparedFit(tag, spec, X, stats, Kc, q)
+        return PreparedFit(tag, spec, X, stats, Kc, q, Q)
+    rows = Kc if Q is None else Q.T @ Kc  # the scatters in Q's coordinates
     if tag == "cidg":
         weights = build_weights(groups, lenient=lenient)
         return PreparedFit(
-            tag, spec, X, stats, Kc, q, scatter_set(Kc, weights), weights.adjustments
+            tag, spec, X, stats, Kc, q, Q, scatter_set(rows, weights, Q), weights.adjustments
         )
     # only the scatters the method's pencil weighs: dica_marginal's domain
     # scatter takes the prior's place, kfda has neither
     weights = build_weights(groups, lenient=True)
-    none = np.zeros((train.n, 0))
+    none = np.zeros((rows.shape[0], 0))
     scatters = ScatterSet(
         conditional_factor=none,
-        prior_factor=domain_scatter(Kc, *uniform_domain_weights(groups))
+        prior_factor=domain_scatter(rows, *uniform_domain_weights(groups))
         if tag == "dica_marginal" else none,
-        between_factor=between_scatter(Kc, weights),
-        within=within_scatter(Kc, weights),
+        between_factor=between_scatter(rows, weights),
+        within=within_scatter(rows, weights),
+        basis=Q,
     )
-    return PreparedFit(tag, spec, X, stats, Kc, q, scatters)
+    return PreparedFit(tag, spec, X, stats, Kc, q, Q, scatters)
 
 
 def _checked_q(method: Method, prepared: PreparedFit) -> int:
@@ -257,7 +280,7 @@ def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution
     if first.tag == "kpca":
         if len(methods) > 1:
             raise ClassifyError("kpca has no gamma or alpha: its plane holds one method")
-        return solve_kpca(prepared.Kc, q)
+        return solve_kpca(prepared.Kc, q, prepared.basis)
     return solve_plane(prepared.scatters, [_pencil_weights(m) for m in methods], q, first.epsilon)
 
 
@@ -277,7 +300,7 @@ def fit_baseline(
     prepared = prepare_fit(method.tag, train, spec, lenient)
     q = _checked_q(method, prepared)
     if method.tag == "kpca":
-        model = solve_kpca(prepared.Kc, q).model(0)
+        model = solve_kpca(prepared.Kc, q, prepared.basis).model(0)
     else:
         model = solve(prepared.scatters, q, *_pencil_weights(method), method.epsilon)
     return replace(

@@ -298,8 +298,16 @@ def _remap(values: list[str]) -> tuple[np.ndarray, dict[int, str]]:
     return ids, {i + 1: name for i, name in enumerate(order)}
 
 
+def _check_delimiter(delimiter) -> None:
+    try:
+        csv.reader((), delimiter=delimiter)
+    except (TypeError, csv.Error) as exc:  # not one character
+        raise DatasetError(f"bad delimiter {delimiter!r}: {exc}") from None
+
+
 def _read_table(path, delimiter: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Stripped header and the non-blank (line number, row) records of a UTF-8 table."""
+    _check_delimiter(delimiter)
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             records = list(csv.reader(fh, delimiter=delimiter))
@@ -353,6 +361,9 @@ def load_csv(
     missing = [c for c in feature_columns if c not in header]
     if missing:
         raise DatasetError(f"{path}: feature columns not in header: {missing}")
+    repeated = sorted({c for c in feature_columns if feature_columns.count(c) > 1})
+    if repeated:
+        raise DatasetError(f"{path}: feature columns repeated: {repeated}")
     pos = {name: header.index(name) for name in header}
     feat_pos = [pos[c] for c in feature_columns]
     rows: list[list[float]] = []
@@ -397,6 +408,7 @@ def save_csv(data: LabeledDataset, path, delimiter: str = ",") -> None:
 
     Floats are written with repr so a reload reproduces them exactly.
     """
+    _check_delimiter(delimiter)
     label_names = data.label_names or {}
     domain_names = data.domain_names or {}
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -15,6 +15,12 @@ as their n x r factors G (scatter = G G'), r the number of mean offsets:
                  the pooled overall mean
   within       - total deviation of each sample from its pooled class mean
 
+Every builder reads K only through products K @ v, so it accepts either
+the n x n centered Gram matrix or its rows Q' K in the coordinates of an
+orthonormal basis Q of its range (solver.range_basis; n x rank). The
+second gives every factor as Q' G (rank x r) and the within scatter as
+Q' K M K Q (rank x rank), with no n x n product formed.
+
 Weight entries are computed as single divisions of integer products
 (e.g. 1/(C * n_js)), which keeps the documented degenerate cases exact in
 floating point: balanced classes make the prior-normalized vectors equal
@@ -176,7 +182,7 @@ def uniform_domain_weights(groups: GroupIndex) -> tuple[dict[int, np.ndarray], n
 
 def _check_k(K: np.ndarray, n: int) -> np.ndarray:
     K = np.asarray(K, dtype=np.float64)
-    if K.shape != (n, n):
+    if K.ndim != 2 or K.shape[1] != n:
         raise ScatterError(f"Gram matrix shape {K.shape} does not match n={n}")
     return K
 
@@ -230,6 +236,8 @@ def within_scatter(K: np.ndarray, w: WeightSet) -> np.ndarray:
     M is the identity minus the block-diagonal class-averaging matrix
     (1/n_j on each class-j block). M is symmetric and idempotent, so
     K M K = (K M)(K M)', where K M is K less each class's mean column.
+    From rows Q' K this is Q' K M K Q = Y' Y, with Y = M (K Q) the rows of
+    K Q less each class's mean row.
     NumPy forms a product with its own transpose by one symmetric rank-k
     update, which fills both triangles from one, so the result is exactly
     symmetric.
@@ -248,26 +256,35 @@ class ScatterSet:
 
     Each *_factor is an n x r matrix G whose scatter is G @ G.T; the
     solver works on the factors and never expands them. An n x 0 factor
-    stands for a zero scatter. Only between keeps an expanding property,
-    because perfbench's tracer (perfbench/tracing.py) reads the scatter's
-    size from it; tests expand any factor themselves.
+    stands for a zero scatter. When basis is an orthonormal Q (n x rank,
+    see solver.range_basis), the factors are rank x r and within is
+    rank x rank, all in its coordinates: Q' G and Q' W Q. Only between
+    keeps an expanding property, because perfbench's tracer
+    (perfbench/tracing.py) reads the size of the solved pencil from it;
+    tests expand any factor themselves.
     """
 
     conditional_factor: np.ndarray
     prior_factor: np.ndarray
     between_factor: np.ndarray
     within: np.ndarray
+    basis: np.ndarray | None = None
 
     @property
     def between(self) -> np.ndarray:
         return self.between_factor @ self.between_factor.T
 
 
-def scatter_set(K: np.ndarray, w: WeightSet) -> ScatterSet:
-    """Build all four scatters from one centered Gram matrix."""
+def scatter_set(K: np.ndarray, w: WeightSet, basis: np.ndarray | None = None) -> ScatterSet:
+    """Build all four scatters from one centered Gram matrix.
+
+    With a basis, K holds the rows basis.T @ Kc and the set records the
+    basis its scatters are written in.
+    """
     return ScatterSet(
         conditional_factor=conditional_scatter(K, w),
         prior_factor=prior_scatter(K, w),
         between_factor=between_scatter(K, w),
         within=within_scatter(K, w),
+        basis=basis,
     )

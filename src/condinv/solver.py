@@ -30,15 +30,35 @@ the trace constraint of the underlying Lagrangian. P has rank at most
 C - 1 (the count-weighted class-mean offsets sum to zero), so at most
 C - 1 eigenvalues are positive.
 
+Every scatter maps into range(Kc), and D acts as eps I on its
+orthogonal complement, so every eigenvector with lambda > 0 lies in
+range(Kc) too. range_basis finds that range exactly: a pivoted Cholesky
+factor Kc = G G', stopped once every remaining pivot is at most 1e-12 of
+the largest diagonal entry, and the n x m orthonormal Q of G's thin QR.
+Every such eigenvector is b = Q c for an m-vector c, which solves
+
+    Q' P Q c = lambda Q' D Q c,
+
+the same pencil in m dimensions: its factors are Q' F and Q' U, its
+within term Q' W Q = Y' Y, with Y = Kc Q less each class's mean row, and
+its ridge eps I. It is solved as above and mapped back as B = Q B_m, so
+no n x n product is formed. The residual screen runs on B_m (Q is
+orthonormal, so the norms are those of the n-length residuals); the sign
+rule and the tolerance cut act on the n-length columns of B. The rank
+rule: the basis is used when 2m <= n. Above that the thin QR of G costs
+more than the n-sized work it saves, so range_basis returns None (the
+identity) and the pencil is solved on Kc's own coordinates. Kernel PCA
+reduces the same way, to the eigenpairs of Q' Kc Q.
+
 Only S depends on gamma and alpha, so one solve_plane call per
-(scatters, eps) plane does the n-sized work once (the n^3/3 Cholesky of
-A, the whitened QR and T) and solves every (gamma, alpha) point of the
+(scatters, eps) plane does the n- (or m-) sized work once (the Cholesky
+of A, the whitened QR and T) and solves every (gamma, alpha) point of the
 plane as one stack of k x k problems, returned as arrays with no model per
 point (PlaneSolution); solve is its one-point case. The residual screen
 evaluates D B as W B + eps B + U S (U' B), so D is never formed.
 
 The configured eps is relative: the ridge actually added is
-eps * mean(diag(within)), falling back to eps alone when the within
+eps * trace(within) / n, falling back to eps alone when the within
 scatter has zero trace, so the same setting behaves comparably across
 kernel scales. The effective value is stored on the model.
 
@@ -64,6 +84,7 @@ class SolverError(ValueError):
 
 
 _EIG_TOLERANCE = 1e-10  # relative to the largest eigenvalue
+_PIVOT_TOLERANCE = 1e-12  # relative to the largest diagonal entry of Kc
 _RESIDUAL_REL = 1e-6
 _RESIDUAL_FLOOR = 1e-12
 
@@ -185,13 +206,40 @@ class PlaneSolution:
         )
 
 
-def solve_kpca(Kc: np.ndarray, q: int) -> PlaneSolution:
-    """Top q components of the centered Gram matrix (kernel PCA), as one point."""
+def range_basis(Kc: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis of the numerical range of a centered Gram matrix.
+
+    Pivoted Cholesky (LAPACK dpstrf) stops once every remaining pivot is
+    at most 1e-12 times the largest diagonal entry; its m columns, put
+    back in row order, are a factor G with Kc = G G' to that tolerance.
+    Returns the n x m Q of G's thin QR when 0 < 2m <= n, else None (the
+    identity: solve on Kc itself).
+    """
+    n = Kc.shape[0]
+    tol = _PIVOT_TOLERANCE * float(np.max(np.diag(Kc)))
+    c, piv, m, _ = scipy.linalg.lapack.dpstrf(Kc, tol=tol, lower=1)
+    if m == 0 or 2 * m > n:
+        return None
+    G = np.empty((n, m))
+    G[piv - 1] = np.tril(c[:, :m])  # P' Kc P = L L', so Kc = G G' with G = P L
+    return np.linalg.qr(G)[0]
+
+
+def solve_kpca(Kc: np.ndarray, q: int, basis: np.ndarray | None = None) -> PlaneSolution:
+    """Top q components of the centered Gram matrix (kernel PCA), as one point.
+
+    With a basis from range_basis, the eigenpairs come from the m x m
+    matrix basis' Kc basis; at most m of them exist.
+    """
     n = Kc.shape[0]
     _check_q(q, n)
-    lam, vecs = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
+    K = Kc if basis is None else basis.T @ Kc @ basis
+    r = min(q, K.shape[0])
+    lam, vecs = scipy.linalg.eigh(K, subset_by_index=[K.shape[0] - r, K.shape[0] - 1])
     order = np.argsort(-lam, kind="stable")
     lam, vecs = lam[None, order], vecs[None, :, order]
+    if basis is not None:
+        vecs = basis @ vecs
     kept = _truncate(lam, vecs, q)
     if kept[0] == 0:
         raise SolverError("centered Gram matrix has no positive eigenvalues")
@@ -204,12 +252,19 @@ def solve_plane(scatters: ScatterSet, weights, q: int, epsilon: float) -> PlaneS
 
     One Cholesky of within + eps I and one whitened QR serve the plane,
     whose points are then solved as one stack of k x k problems; see
-    PlaneSolution for what each point keeps.
+    PlaneSolution for what each point keeps. Scatters written in a range
+    basis are solved at its size m and mapped back to n-length
+    coefficients.
     """
     F = scatters.between_factor
     U = np.hstack([scatters.conditional_factor, scatters.prior_factor])
-    n = F.shape[0]
-    if F.ndim != 2 or U.shape[0] != n or scatters.within.shape != (n, n):
+    Q = scatters.basis
+    m = F.shape[0]
+    n = m if Q is None else Q.shape[0]
+    if (
+        F.ndim != 2 or U.shape[0] != m or scatters.within.shape != (m, m)
+        or (Q is not None and Q.shape[1] != m)
+    ):
         raise SolverError("scatter matrices have inconsistent shapes")
     _check_q(q, n)
     ga = np.asarray(weights, dtype=np.float64).reshape(-1, 2)
@@ -217,10 +272,10 @@ def solve_plane(scatters: ScatterSet, weights, q: int, epsilon: float) -> PlaneS
         raise SolverError("gamma and alpha must be >= 0")
     if not epsilon > 0:
         raise SolverError("epsilon must be > 0")
-    scale = float(np.mean(np.diag(scatters.within)))
+    scale = float(np.diag(scatters.within).sum()) / n
     eff_eps = float(epsilon * (scale if scale > 0 else 1.0))
     A = scatters.within.copy()
-    A.flat[:: n + 1] += eff_eps
+    A.flat[:: m + 1] += eff_eps
     try:
         # A is symmetric, so its transpose is the same matrix in Fortran
         # order, which LAPACK factors in place instead of copying
@@ -244,18 +299,21 @@ def solve_plane(scatters: ScatterSet, weights, q: int, epsilon: float) -> PlaneS
         raise SolverError(f"generalized eigensolve failed: {exc}") from None
     # singular values come back descending
     lam = sigma**2
-    kept = _truncate(lam, B, q)
 
-    # Residual screen. Eigenvalues just above the relative tolerance can
-    # still be pure null-space noise of the (low-rank) numerator; such
-    # pairs fail the residual bound and carry no signal, so each component
-    # list is cut at its first failure rather than returned unreliable.
+    # Residual screen, in basis coordinates when there is a basis. Eigenvalues
+    # just above the relative tolerance can still be pure null-space noise of
+    # the (low-rank) numerator; such pairs fail the residual bound and carry
+    # no signal, so each component list is cut at its first failure rather
+    # than returned unreliable.
     PB = F @ (F.T @ B)
     DB = scatters.within @ B + eff_eps * B + U @ (s[:, :, None] * (U.T @ B))
     res = np.linalg.norm(PB - DB * lam[:, None, :], axis=1)
     bound = _RESIDUAL_REL * np.maximum(np.linalg.norm(PB, axis=1), _RESIDUAL_FLOOR)
     # first failing pair, or the sentinel column past the last one
     first_bad = np.hstack([res > bound, np.ones((P, 1), dtype=bool)]).argmax(axis=1)
+    if Q is not None:
+        B = Q @ B
+    kept = _truncate(lam, B, q)
     cut = np.minimum(kept, first_bad)
 
     warnings = [_truncation_warning(q, int(k)) for k in kept]

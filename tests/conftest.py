@@ -13,6 +13,7 @@ import pytest  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import condinv as ci  # noqa: E402
+from condinv.solver import projection_basis  # noqa: E402
 
 
 @pytest.fixture
@@ -40,6 +41,28 @@ def random_dataset(rng, n_domains=2, n_classes=3, n=18, d=3, domain_shift=0.0):
     x += labels[:, None] * 0.5
     x += domains[:, None] * domain_shift
     return ci.LabeledDataset(features=x, labels=labels, domains=domains)
+
+
+def assert_same_solution(got, want, Kc):
+    """Two PlaneSolutions of one pencil agree to rounding.
+
+    Kept counts, warnings and errors are equal; kept eigenvalues agree
+    within 1e-10 relative (or 1e-13 of the largest, the precision any
+    eigensolver gives the smallest), and the training coordinates
+    Kc.T @ projection_basis within 1e-8 of their largest.
+    """
+    assert got.kept.tolist() == want.kept.tolist()
+    assert got.warnings == want.warnings
+    assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
+    assert got.coefficients.shape[1] == Kc.shape[0]
+    assert got.effective_epsilon == pytest.approx(want.effective_epsilon, rel=1e-10)
+    for p in np.flatnonzero(want.kept):
+        c = want.kept[p]
+        lam = want.eigenvalues[p, :c]
+        assert np.allclose(got.eigenvalues[p, :c], lam, rtol=1e-10, atol=1e-13 * lam[0])
+        coords = Kc.T @ projection_basis(want.coefficients[p, :, :c], lam)
+        got_coords = Kc.T @ projection_basis(got.coefficients[p, :, :c], got.eigenvalues[p, :c])
+        assert np.allclose(got_coords, coords, rtol=0.0, atol=1e-8 * np.abs(coords).max())
 
 
 def missing_cell_dataset(rng, n_per=4):

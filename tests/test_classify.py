@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import condinv as ci
+import condinv.classify
 from condinv.classify import ClassifyError, fit_plane, knn_votes, prepare_fit
 from condinv.scatter import ScatterSet
 from condinv.solver import SolverError, projection_basis
 import oracles
-from conftest import missing_cell_dataset, random_dataset
+from conftest import assert_same_solution, missing_cell_dataset, random_dataset
 
 
 class TestMethod:
@@ -117,6 +118,19 @@ class TestKnnPredict:
         ks = np.arange(1, n + 1)
         assert np.array_equal(knn_votes(train, labels, test, ks), want)
         assert np.array_equal(knn_votes(train, labels, test, ks[::-1]), want[::-1])
+
+    def test_nan_rows_take_the_full_sort(self, rng):
+        # a NaN test row has no k-th distance, and a NaN training row leaves
+        # fewer than k finite candidates at k = n: both rows fall back to the
+        # full stable order, which puts NaN distances last
+        train = rng.normal(size=(9, 2))
+        labels = np.array([1, 2, 1, 2, 2, 1, 1, 2, 1])
+        test = rng.normal(size=(4, 2))
+        test[1, 0] = np.nan
+        for t in (train, np.vstack([train[:4], [[np.nan, 0.0]], train[5:]])):
+            for k in (1, 3, 5, 9):  # odd k over two classes: no vote ties
+                want = oracles.knn_loop(t, labels, test, k)
+                assert np.array_equal(ci.knn_predict(t, labels, test, k), want)
 
     @settings(max_examples=300, deadline=None)
     @given(lattice_knn_cases(stacked=True))
@@ -340,6 +354,25 @@ class TestFitBaseline:
         if tag == "kpca":  # no gamma or alpha to stack
             with pytest.raises(ClassifyError, match="holds one method"):
                 fit_plane([ci.Method("kpca")] * 2, prepared)
+
+    @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
+    def test_reduced_preparation_matches_dense(self, tag, monkeypatch):
+        # at a wide bandwidth Kc's numerical rank is below n / 2, so the
+        # preparation writes the pencil in a range basis; without the basis
+        # it is today's dense one
+        data = random_dataset(np.random.default_rng(5), n_domains=3, n=240, d=2, domain_shift=0.5)
+        spec = ci.KernelSpec("rbf", 3.0 * ci.median_bandwidth(data.features))
+        methods = [ci.Method(tag, gamma=g, q=5) for g in ((1.0,) if tag == "kpca" else (0.1, 1.0))]
+        reduced = prepare_fit(tag, data, spec)
+        m = reduced.basis.shape[1]
+        assert 2 * m <= data.n
+        if tag != "kpca":
+            assert reduced.scatters.within.shape == (m, m)
+            assert reduced.scatters.between_factor.shape == (m, 3)
+        monkeypatch.setattr(condinv.classify, "range_basis", lambda Kc: None)
+        dense = prepare_fit(tag, data, spec)
+        assert dense.basis is None and np.array_equal(dense.Kc, reduced.Kc)
+        assert_same_solution(fit_plane(methods, reduced), fit_plane(methods, dense), dense.Kc)
 
     def test_sign_flip_of_features_keeps_predictions(self, rng):
         # mirroring the input space is an isometry: fitted projections can

@@ -340,6 +340,24 @@ class TestCsvRoundTrip:
         with pytest.raises(DatasetError, match="duplicate"):
             ci.load_csv(path)
 
+    def test_repeated_feature_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x1,x2,label,domain\n1,2,a,b\n")
+        with pytest.raises(DatasetError, match=r"repeated: \['x1'\]"):
+            ci.load_csv(path, feature_columns=["x1", "x2", "x1"])
+
+    @pytest.mark.parametrize("delimiter", ["ab", "", None, 1])
+    def test_bad_delimiter(self, tmp_path, delimiter):
+        path = tmp_path / "t.csv"
+        path.write_text("x1,label,domain\n1.0,a,b\n")
+        for read in (ci.load_csv, load_features):
+            with pytest.raises(DatasetError, match="bad delimiter"):
+                read(path, delimiter=delimiter)
+        out = tmp_path / "out.csv"
+        with pytest.raises(DatasetError, match="bad delimiter"):
+            save_csv(ci.load_csv(path), out, delimiter=delimiter)
+        assert not out.exists()
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,label\n1,a\n")

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import condinv as ci
 from condinv.kernel import CenteringStats
 from condinv.scatter import ScatterSet
-from condinv.solver import SolverError, projection_basis, solve_kpca, solve_plane
+from condinv.solver import SolverError, projection_basis, range_basis, solve_kpca, solve_plane
 import oracles
-from conftest import random_dataset
+from conftest import assert_same_solution, random_dataset
 
 
 def fit_scatters(data):
@@ -317,6 +317,91 @@ class TestSolvePlane:
         ] * 2
         assert all(isinstance(e, SolverError) for e in solution.errors)
         assert solution.kept.tolist() == [0, 0]
+
+
+def rbf_case(n, scale, seed=0, n_classes=3):
+    """An RBF Gram matrix of n rows at scale times the median bandwidth."""
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n_domains=3, n_classes=n_classes, n=n, d=2, domain_shift=0.5)
+    spec = ci.KernelSpec("rbf", scale * ci.median_bandwidth(data.features))
+    Kc = ci.center_train(ci.gram(data.features, data.features, spec))
+    return Kc, ci.build_weights(ci.group_index(data))
+
+
+# (n, bandwidth scale): every one has numerical rank m with 2m <= n
+REDUCED_CASES = [(150, 2.0), (220, 1.0), (300, 4.0), (400, 1.5)]
+
+
+class TestRangeBasis:
+    """The reduced solve in range_basis coordinates against the dense one."""
+
+    @pytest.mark.parametrize("n, scale", REDUCED_CASES)
+    def test_orthonormal_basis_of_the_range(self, n, scale):
+        Kc, _ = rbf_case(n, scale)
+        Q = range_basis(Kc)
+        assert Q is not None and Q.shape[0] == n and 2 * Q.shape[1] <= n
+        assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(Kc - Q @ (Q.T @ Kc)) <= 1e-10 * np.linalg.norm(Kc)
+
+    def test_identity_when_the_rank_exceeds_half(self):
+        Kc, _ = rbf_case(150, 0.05)
+        assert np.linalg.matrix_rank(Kc) > 75
+        assert range_basis(Kc) is None
+        # a zero Gram matrix has nothing to reduce: the dense path reports it
+        assert range_basis(np.zeros((150, 150))) is None
+
+    @pytest.mark.parametrize("n, scale", REDUCED_CASES)
+    def test_plane_matches_dense(self, n, scale):
+        Kc, w = rbf_case(n, scale)
+        Q = range_basis(Kc)
+        plane = [(0.0, 0.0), (0.1, 1.0), (1.0, 1.0), (10.0, 0.5)]
+        for q in (2, 6):
+            want = solve_plane(ci.scatter_set(Kc, w), plane, q, 1e-5)
+            got = solve_plane(ci.scatter_set(Q.T @ Kc, w, Q), plane, q, 1e-5)
+            assert_same_solution(got, want, Kc)
+
+    @pytest.mark.parametrize("n, scale", REDUCED_CASES)
+    def test_kpca_matches_dense(self, n, scale):
+        Kc, _ = rbf_case(n, scale)
+        Q = range_basis(Kc)
+        for q in (1, 5, 12):
+            assert_same_solution(solve_kpca(Kc, q, Q), solve_kpca(Kc, q), Kc)
+
+    def test_q_above_the_rank(self):
+        Kc, w = rbf_case(300, 4.0)
+        Q = range_basis(Kc)
+        q = Q.shape[1] + 3
+        got = solve_kpca(Kc, q, Q)
+        want = solve_kpca(Kc, q)
+        assert got.coefficients.shape[2] == Q.shape[1] < want.coefficients.shape[2]
+        assert got.warnings[0] and got.warnings == want.warnings
+        assert_same_solution(got, want, Kc)
+        plane = [(1.0, 1.0)]
+        assert_same_solution(
+            solve_plane(ci.scatter_set(Q.T @ Kc, w, Q), plane, q, 1e-5),
+            solve_plane(ci.scatter_set(Kc, w), plane, q, 1e-5),
+            Kc,
+        )
+
+    def test_zero_between_factor_fails_every_point_as_dense(self):
+        # one class: every pooled class mean is the overall mean, so the
+        # between factor is a zero column in either coordinates
+        Kc, w = rbf_case(200, 2.0, n_classes=1)
+        Q = range_basis(Kc)
+        assert Q is not None
+        plane = [(0.0, 0.0), (1.0, 1.0)]
+        got = solve_plane(ci.scatter_set(Q.T @ Kc, w, Q), plane, 2, 1e-5)
+        want = solve_plane(ci.scatter_set(Kc, w), plane, 2, 1e-5)
+        assert got.kept.tolist() == want.kept.tolist() == [0, 0]
+        assert [str(e) for e in got.errors] == [str(e) for e in want.errors] == [
+            "no positive eigenvalues: the between-class scatter is zero"
+        ] * 2
+
+    def test_basis_shape_is_checked(self):
+        Kc, w = rbf_case(150, 2.0)
+        Q = range_basis(Kc)
+        with pytest.raises(SolverError, match="inconsistent shapes"):
+            solve_plane(ci.scatter_set(Q.T @ Kc, w, Q[:, 1:]), [(1.0, 1.0)], 2, 1e-5)
 
 
 class TestProjectionModel:
