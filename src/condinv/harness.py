@@ -123,8 +123,8 @@ class Grids:
             vals = getattr(self, name)
             if len(vals) == 0:
                 raise HarnessError(f"grid {name!r} must be non-empty")
-            if any(not v > 0 for v in vals):
-                raise HarnessError(f"grid {name!r} must hold positive values")
+            if any(isinstance(v, bool) or not 0 < v < np.inf for v in vals):
+                raise HarnessError(f"grid {name!r} must hold positive finite numbers, got {vals}")
         if self.q is not None:
             if len(self.q) == 0:
                 raise HarnessError("grid 'q' must be non-empty when given")

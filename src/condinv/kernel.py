@@ -5,6 +5,11 @@ user-facing family; a linear kernel is provided for test oracles where the
 feature map must be concrete. Centering comes in two flavours: the training
 Gram matrix is centered symmetrically, while cross kernels between training
 and new samples support two modes (see center_cross).
+
+Each Gram matrix is built and centered in one buffer: gram exponentiates in
+its distance matrix, and centered_gram and centered_cross_gram (what a fit
+and a projection call) center that matrix in place. No public function
+mutates its inputs; center_train and center_cross_from_stats center a copy.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ class KernelSpec:
                 raise KernelError(
                     f"bandwidth must be a positive number or {MEDIAN!r}, got {self.bandwidth!r}"
                 )
-        elif not self.bandwidth > 0:
-            raise KernelError(f"bandwidth must be > 0, got {self.bandwidth}")
+        elif isinstance(self.bandwidth, bool) or not 0 < self.bandwidth < np.inf:
+            raise KernelError(
+                f"bandwidth must be a positive finite number, got {self.bandwidth}"
+            )
 
     @property
     def resolved(self) -> bool:
@@ -60,6 +67,8 @@ def median_bandwidth(features: np.ndarray, max_points: int = 1000, seed: int = 0
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise KernelError("median bandwidth needs at least 2 samples")
+    if not np.isfinite(x).all():
+        raise KernelError("median bandwidth needs finite features; they contain inf or NaN")
     if x.shape[0] > max_points:
         keep = np.random.default_rng(seed).choice(x.shape[0], size=max_points, replace=False)
         x = x[np.sort(keep)]
@@ -93,8 +102,10 @@ def gram(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
         return a @ b.T
     if not spec.resolved:
         raise KernelError("bandwidth is unresolved; call resolve_bandwidth first")
-    sq = cdist(a, b, metric="sqeuclidean")
-    return np.exp(-sq / (2.0 * float(spec.bandwidth) ** 2))
+    k = cdist(a, b, metric="sqeuclidean")
+    # bitwise equal to -k / (2 sigma^2): IEEE division is sign-symmetric
+    k /= -(2.0 * float(spec.bandwidth) ** 2)
+    return np.exp(k, out=k)
 
 
 @dataclass(frozen=True)
@@ -119,13 +130,34 @@ class CenteringStats:
         return cls(n=K.shape[0], row_means=rm, grand_mean=float(K.mean()))
 
 
-def _center_source_form(Kt: np.ndarray, n: int) -> np.ndarray:
-    # Kt - 1_n Kt - Kt 1_t + 1_n Kt 1_t with every averaging matrix holding
-    # entries 1/n (including the right-hand one; see center_cross).
+def _center(Kt: np.ndarray, n: int, stats: CenteringStats | None = None):
+    # Kt - col - rows + total in place, in that order, col being Kt's column
+    # means; returns (rows, total). These are the statistics of stats
+    # ("standard") or Kt's row sums / n and total / n^2: the source form
+    # Kt - 1_n Kt - Kt 1_t + 1_n Kt 1_t, every averaging matrix holding 1/n
+    # (see center_cross).
     col = Kt.mean(axis=0)
-    rows = Kt.sum(axis=1) / n
-    total = Kt.sum() / (n * n)
-    return Kt - col[None, :] - rows[:, None] + total
+    if stats is None:
+        rows, total = Kt.sum(axis=1) / n, Kt.sum() / (n * n)
+    else:
+        rows, total = stats.row_means, stats.grand_mean
+    Kt -= col[None, :]
+    Kt -= rows[:, None]
+    Kt += total
+    return rows, total
+
+
+def _center_cross(Kt: np.ndarray, stats: CenteringStats, mode: str) -> np.ndarray:
+    if Kt.ndim != 2:
+        raise KernelError("cross kernel must be a 2-D matrix")
+    if Kt.shape[0] != stats.n:
+        raise KernelError(
+            f"cross kernel has {Kt.shape[0]} rows, training size is {stats.n}"
+        )
+    if mode not in ("paper", "standard"):
+        raise KernelError(f"unknown centering mode {mode!r}; use 'paper' or 'standard'")
+    _center(Kt, stats.n, stats if mode == "standard" else None)
+    return Kt
 
 
 def center_train(K: np.ndarray) -> np.ndarray:
@@ -133,10 +165,19 @@ def center_train(K: np.ndarray) -> np.ndarray:
 
     Idempotent; keeps symmetry; centered rows and columns sum to ~0.
     """
-    K = np.asarray(K, dtype=np.float64)
+    K = np.array(K, dtype=np.float64)  # a copy, centered in place
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise KernelError(f"center_train expects a square matrix, got {K.shape}")
-    return _center_source_form(K, K.shape[0])
+    _center(K, K.shape[0])
+    return K
+
+
+def centered_gram(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, CenteringStats]:
+    """center_train(gram(x, x, spec)) and its Gram's CenteringStats, from one buffer."""
+    K = gram(x, x, spec)
+    rows, total = _center(K, K.shape[0])
+    rows.flags.writeable = False
+    return K, CenteringStats(n=K.shape[0], row_means=rows, grand_mean=float(total))
 
 
 def center_cross_from_stats(Kt: np.ndarray, stats: CenteringStats, mode: str = "paper") -> np.ndarray:
@@ -151,19 +192,14 @@ def center_cross_from_stats(Kt: np.ndarray, stats: CenteringStats, mode: str = "
     subtracting training row means and the training grand mean; it matches
     what centering the underlying feature map would do.
     """
-    Kt = np.asarray(Kt, dtype=np.float64)
-    if Kt.ndim != 2:
-        raise KernelError("cross kernel must be a 2-D matrix")
-    if Kt.shape[0] != stats.n:
-        raise KernelError(
-            f"cross kernel has {Kt.shape[0]} rows, training size is {stats.n}"
-        )
-    if mode == "paper":
-        return _center_source_form(Kt, stats.n)
-    if mode == "standard":
-        col = Kt.mean(axis=0)
-        return Kt - col[None, :] - stats.row_means[:, None] + stats.grand_mean
-    raise KernelError(f"unknown centering mode {mode!r}; use 'paper' or 'standard'")
+    return _center_cross(np.array(Kt, dtype=np.float64), stats, mode)
+
+
+def centered_cross_gram(
+    a: np.ndarray, b: np.ndarray, spec: KernelSpec, stats: CenteringStats, mode: str = "paper"
+) -> np.ndarray:
+    """center_cross_from_stats(gram(a, b, spec), stats, mode), in gram's own buffer."""
+    return _center_cross(gram(a, b, spec), stats, mode)
 
 
 def center_cross(Kt: np.ndarray, K: np.ndarray, mode: str = "paper") -> np.ndarray:

@@ -75,7 +75,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernel import CenteringStats, KernelSpec, center_cross_from_stats, gram
+# gram and center_cross_from_stats stay bound here for perfbench's tracer
+from .kernel import CenteringStats, KernelSpec, center_cross_from_stats, centered_cross_gram, gram
 from .scatter import ScatterSet
 
 
@@ -268,10 +269,11 @@ def solve_plane(scatters: ScatterSet, weights, q: int, epsilon: float) -> PlaneS
         raise SolverError("scatter matrices have inconsistent shapes")
     _check_q(q, n)
     ga = np.asarray(weights, dtype=np.float64).reshape(-1, 2)
-    if (ga < 0).any():
-        raise SolverError("gamma and alpha must be >= 0")
-    if not epsilon > 0:
-        raise SolverError("epsilon must be > 0")
+    bad = ga[(ga < 0) | ~np.isfinite(ga)]
+    if bad.size:
+        raise SolverError(f"gamma and alpha must be finite and >= 0, got {bad[0]}")
+    if not 0 < epsilon < np.inf:
+        raise SolverError(f"epsilon must be a positive finite number, got {epsilon}")
     scale = float(np.diag(scatters.within).sum()) / n
     eff_eps = float(epsilon * (scale if scale > 0 else 1.0))
     A = scatters.within.copy()
@@ -373,7 +375,7 @@ def centered_cross_kernel(
         )
     if not np.all(np.isfinite(x)):
         raise SolverError("new features contain non-finite values")
-    return center_cross_from_stats(gram(training_features, x, spec), centering, mode)
+    return centered_cross_gram(training_features, x, spec, centering, mode)
 
 
 def project(model: ProjectionModel, new_features: np.ndarray, mode: str = "paper") -> np.ndarray:

@@ -66,6 +66,12 @@ class TestGrids:
         with pytest.raises(HarnessError, match=">= 1"):
             ci.Grids(q=(0,))
 
+    @pytest.mark.parametrize("axis", ["bandwidth_scale", "gamma", "alpha", "epsilon"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, True])
+    def test_rejects_non_finite_and_bool_values(self, axis, bad):
+        with pytest.raises(HarnessError, match=f"grid '{axis}' must hold positive finite"):
+            ci.Grids(**{axis: (1.0, bad)})
+
     def test_resolve_q_default(self):
         grids = ci.Grids()
         # n=40, C=3, m=2: {2, 6, 12}
@@ -185,6 +191,16 @@ class TestConfigParsing:
         del tree["dataset"]["csv"]
         del tree["dataset"]["synthetic"]
         with pytest.raises(HarnessError, match="exactly one"):
+            ci.config_from_mapping(tree)
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("kernel", "bandwidth", ".inf"), ("kernel", "bandwidth", ".nan"),
+        ("grids", "bandwidth_scale", "[1.0, .inf]"), ("grids", "gamma", "[.nan]"),
+    ])
+    def test_non_finite_numbers_are_rejected(self, section, key, text):
+        tree = config_tree()
+        tree[section][key] = yaml.safe_load(text)
+        with pytest.raises(HarnessError, match="positive finite"):
             ci.config_from_mapping(tree)
 
     def test_unknown_grid_axis(self):

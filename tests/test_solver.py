@@ -59,6 +59,20 @@ class TestSolverConfig:
         with pytest.raises(SolverError, match="q must be >= 1"):
             ci.solve(scatters, 0)
 
+    @pytest.mark.parametrize(
+        "weights, epsilon, match",
+        [
+            ([(np.inf, 1.0)], 1e-5, "gamma and alpha .* got inf"),
+            ([(np.nan, 1.0)], 1e-5, "gamma and alpha .* got nan"),
+            ([(1.0, 0.5), (1.0, np.nan)], 1e-5, "gamma and alpha .* got nan"),
+            ([(1.0, 1.0)], np.inf, "epsilon .* got inf"),
+            ([(1.0, 1.0)], np.nan, "epsilon .* got nan"),
+        ],
+    )
+    def test_non_finite_parameters(self, weights, epsilon, match):
+        with pytest.raises(SolverError, match=match):
+            solve_plane(diagonal_scatters([4.0, 1.0], 2), weights, 1, epsilon)
+
     def test_default_q(self):
         assert ci.default_q(100, 3, 2) == 6
         assert ci.default_q(5, 3, 4) == 4
