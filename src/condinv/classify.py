@@ -23,6 +23,7 @@ All four produce a ProjectionModel whose projection feeds the same KNN.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, group_index
-# gram and center_train stay bound here for perfbench's tracer
+# gram, center_train and solve stay bound here only for perfbench's tracer
 from .kernel import CenteringStats, KernelSpec, center_train, centered_gram, gram, resolve_bandwidth
 from .scatter import (
     ScatterSet,
@@ -109,9 +110,14 @@ def knn_votes(
         raise ClassifyError("empty training set")
     if labels.shape != (n,):
         raise ClassifyError("training labels do not match training features")
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
-    if ks.size == 0 or ks.min() < 1 or ks.max() > n:
-        raise ClassifyError(f"k must lie in 1..{n}, got {', '.join(map(str, ks)) or 'none'}")
+    ks = np.asarray(ks, dtype=object).reshape(-1)  # each k as the caller gave it
+    if ks.size == 0 or not all(
+        isinstance(k, numbers.Real) and not isinstance(k, bool) and k % 1 == 0 and 1 <= k <= n
+        for k in ks
+    ):
+        listed = ", ".join(map(str, ks)) or "none"
+        raise ClassifyError(f"k must lie in the integers 1..{n}, got {listed}")
+    ks = ks.astype(np.int64)
     # a stack takes one cdist per slice, so every distance is bit for bit the 2-D one
     dists = cdist(test, train) if train.ndim == 2 else np.vstack(list(map(cdist, test, train)))
     nearest = _neighbor_order(dists, int(ks.max()))
@@ -222,11 +228,11 @@ def prepare_fit(
     spec = resolve_bandwidth(spec, train.features)
     X = train.features
     Kc, stats = centered_gram(X, spec)
-    groups = group_index(train)
-    q = default_q(train.n, len(groups.per_class), len(groups.per_domain))
+    q = default_q(train.n, len(train.class_ids), len(train.domain_ids))
     Q = range_basis(Kc)
     if tag == "kpca":
         return PreparedFit(tag, spec, X, stats, Kc, q, Q)
+    groups = group_index(train)
     rows = Kc if Q is None else Q.T @ Kc  # the scatters in Q's coordinates
     if tag == "cidg":
         weights = build_weights(groups, lenient=lenient)
@@ -248,24 +254,11 @@ def prepare_fit(
     return PreparedFit(tag, spec, X, stats, Kc, q, Q, scatters)
 
 
-def _checked_q(method: Method, prepared: PreparedFit) -> int:
-    """The method's q, or the preparation's default; the solver checks its range."""
-    if method.tag != prepared.tag:
-        raise ClassifyError(f"a {prepared.tag} preparation cannot fit {method.tag}")
-    return prepared.default_q if method.q is None else method.q
-
-
-def _pencil_weights(method: Method) -> tuple[float, float]:
-    # dica_marginal weighs its domain scatter (stored as the prior) by 1;
-    # kfda leaves between vs within + ridge
-    return {"dica_marginal": (0.0, 1.0), "kfda": (0.0, 0.0)}.get(
-        method.tag, (method.gamma, method.alpha)
-    )
-
-
 def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution:
     """The bare solutions of methods that differ only in gamma and alpha.
 
+    The grid fits whole planes here, fit_baseline a plane of one. The
+    methods must carry the preparation's tag; q None is its default q.
     The pencil methods share one solve_plane call; kpca has no gamma or
     alpha, so its plane holds one method and takes one solve_kpca call.
     Point p of the result belongs to methods[p] and carries the SolverError
@@ -275,12 +268,18 @@ def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution
     first = methods[0]
     if any((m.tag, m.epsilon, m.q) != (first.tag, first.epsilon, first.q) for m in methods):
         raise ClassifyError("a plane's methods must share their tag, epsilon and q")
-    q = _checked_q(first, prepared)
+    if first.tag != prepared.tag:
+        raise ClassifyError(f"a {prepared.tag} preparation cannot fit {first.tag}")
+    q = prepared.default_q if first.q is None else first.q
     if first.tag == "kpca":
         if len(methods) > 1:
             raise ClassifyError("kpca has no gamma or alpha: its plane holds one method")
         return solve_kpca(prepared.Kc, q, prepared.basis)
-    return solve_plane(prepared.scatters, [_pencil_weights(m) for m in methods], q, first.epsilon)
+    # dica_marginal weighs its domain scatter (stored as the prior) by 1;
+    # kfda leaves between vs within + ridge
+    fixed = {"dica_marginal": (0.0, 1.0), "kfda": (0.0, 0.0)}.get(first.tag)
+    weights = [fixed or (m.gamma, m.alpha) for m in methods]
+    return solve_plane(prepared.scatters, weights, q, first.epsilon)
 
 
 def fit_baseline(
@@ -289,7 +288,7 @@ def fit_baseline(
     spec: KernelSpec,
     lenient: bool = False,
 ) -> ProjectionModel:
-    """Fit the projection for any method except raw_knn.
+    """Fit the projection for any method except raw_knn, as a plane of one.
 
     The bandwidth is resolved on the training features when the spec
     carries the "median" sentinel. The model gets the resolved spec, the
@@ -297,11 +296,7 @@ def fit_baseline(
     any lenient-weight adjustments as warnings.
     """
     prepared = prepare_fit(method.tag, train, spec, lenient)
-    q = _checked_q(method, prepared)
-    if method.tag == "kpca":
-        model = solve_kpca(prepared.Kc, q, prepared.basis).model(0)
-    else:
-        model = solve(prepared.scatters, q, *_pencil_weights(method), method.epsilon)
+    model = fit_plane([method], prepared).model(0)
     return replace(
         model, warnings=model.warnings + prepared.adjustments, kernel_spec=prepared.spec,
         training_features=prepared.features, centering=prepared.centering,

@@ -434,4 +434,6 @@ def load_features(path, delimiter: str = ",") -> tuple[np.ndarray, list[str]]:
             rows.append([float(cell) for cell in row])
         except ValueError:
             raise DatasetError(f"{path}: line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise DatasetError(f"{path}: line {lineno}: non-finite value")
     return np.asarray(rows, dtype=np.float64), header

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 import os
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
@@ -86,7 +87,7 @@ from .dataset import (
     load_csv,
     split,
 )
-from .kernel import KernelError, KernelSpec
+from .kernel import KernelError, KernelSpec, resolve_bandwidth
 from .scatter import ScatterError
 from .solver import ProjectionModel, SolverError, centered_cross_kernel, project, projection_basis
 
@@ -119,6 +120,10 @@ class Grids:
     k: tuple[int, ...] = (1, 3, 5)
 
     def __post_init__(self):
+        for name in ("q", "k"):  # integers, by the config reader's rule
+            vals = getattr(self, name)
+            if vals is not None:
+                object.__setattr__(self, name, _ints(tuple(vals), f"grid {name!r}", HarnessError))
         for name in ("bandwidth_scale", "gamma", "alpha", "epsilon", "k"):
             vals = getattr(self, name)
             if len(vals) == 0:
@@ -128,16 +133,13 @@ class Grids:
         if self.q is not None:
             if len(self.q) == 0:
                 raise HarnessError("grid 'q' must be non-empty when given")
-            if any(int(v) < 1 for v in self.q):
+            if any(v < 1 for v in self.q):
                 raise HarnessError("grid 'q' must hold integers >= 1")
 
     def resolve_q(self, n: int, n_classes: int, n_domains: int) -> tuple[int, ...]:
         """Concrete ascending q values for a dataset of this shape."""
-        if self.q is not None:
-            vals = [min(int(v), n - 1) for v in self.q]
-        else:
-            cm = n_classes * n_domains
-            vals = [min(v, n - 1) for v in (2, cm, 2 * cm)]
+        cm = n_classes * n_domains
+        vals = [min(v, n - 1) for v in ((2, cm, 2 * cm) if self.q is None else self.q)]
         return tuple(sorted({v for v in vals if v >= 1}))
 
 
@@ -261,7 +263,7 @@ def _value(kind, node, context: str, error):
     """node as kind: never a bool, a string only for str, a whole number for int."""
     try:
         # int() and float() would take a bool or a numeric string, and int() truncates
-        wrong = isinstance(node, bool) or not isinstance(node, (int, float, kind))
+        wrong = isinstance(node, bool) or not isinstance(node, (numbers.Real, kind))
         if wrong or (kind is int and int(node) != node):
             raise ValueError
         return kind(node)
@@ -483,12 +485,6 @@ _FAILURE = "scale={} gamma={} alpha={} epsilon={}: {}"
 _KNN_BLOCK_BYTES = 512 * 1024
 
 
-def _base_bandwidth(kernel: KernelSpec, train: LabeledDataset) -> float:
-    from .kernel import median_bandwidth
-
-    return float(kernel.bandwidth) if kernel.resolved else median_bandwidth(train.features)
-
-
 def _method(tag: str, gamma, alpha, epsilon, q) -> Method:
     """The Method at a grid point; axes the tag ignores (None) keep their defaults."""
     axes = {"gamma": gamma, "alpha": alpha, "epsilon": epsilon}
@@ -507,7 +503,7 @@ def _fitted_scales(train, val, method_tag, axes, q_max, kernel, cross_centering,
     plane = [(g, a) for g in gammas for a in alphas]
     points = [(g, a, e) for g, a in plane for e in epsilons]
     planes = [[_method(method_tag, g, a, e, q_max) for g, a in plane] for e in epsilons]
-    base_bw = _base_bandwidth(kernel, train)
+    base_bw = resolve_bandwidth(kernel, train.features).bandwidth
     for scale in scales:
         try:
             prepared = prepare_fit(method_tag, train, KernelSpec(kernel.family, base_bw * scale))
@@ -625,7 +621,8 @@ def _fit_chosen(
     """Refit the selected parameters on a training set (fresh median)."""
     if method_tag == "raw_knn":
         return None
-    spec = KernelSpec(kernel.family, _base_bandwidth(kernel, train) * chosen.bandwidth_scale)
+    base_bw = resolve_bandwidth(kernel, train.features).bandwidth
+    spec = KernelSpec(kernel.family, base_bw * chosen.bandwidth_scale)
     method = _method(method_tag, chosen.gamma, chosen.alpha, chosen.epsilon, chosen.q)
     return fit_baseline(method, train, spec)
 

@@ -64,6 +64,8 @@ def median_bandwidth(features: np.ndarray, max_points: int = 1000, seed: int = 0
     At most ``max_points`` rows enter the pairwise computation; larger
     inputs are subsampled without replacement using default_rng(seed).
     """
+    if max_points < 2:
+        raise KernelError(f"median bandwidth needs max_points >= 2, got {max_points}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise KernelError("median bandwidth needs at least 2 samples")

@@ -69,6 +69,7 @@ retained training features, centered, times B Lambda^{-1/2}.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -147,6 +148,8 @@ class ProjectionModel:
 
 
 def _check_q(q: int, n: int) -> None:
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        raise SolverError(f"q must be an integer, got {q!r}")
     if q < 1:
         raise SolverError("q must be >= 1")
     if q > n:

@@ -158,6 +158,20 @@ class TestKnnPredict:
         with pytest.raises(ClassifyError, match="empty"):
             knn_votes(np.zeros((0, 5, 2)), labels, np.zeros((0, 4, 2)), [1])
 
+    @pytest.mark.parametrize("bad", [2.5, True, np.nan, np.inf, "2", [3, True]])
+    def test_k_is_never_truncated(self, rng, bad):
+        # a bool or a fractional k raises instead of voting as an integer
+        train = rng.normal(size=(5, 2))
+        labels = np.ones(5, dtype=int)
+        with pytest.raises(ClassifyError, match="k must lie in the integers"):
+            knn_votes(train, labels, train, bad if isinstance(bad, list) else [bad])
+
+    def test_whole_k_of_any_number_type(self, rng):
+        train = rng.normal(size=(6, 2))
+        labels = np.array([1, 2, 1, 2, 1, 2])
+        want = knn_votes(train, labels, train, [3, 2])
+        assert np.array_equal(knn_votes(train, labels, train, [np.int64(3), 2.0]), want)
+
     def test_input_validation(self, rng):
         train = rng.normal(size=(5, 2))
         labels = np.ones(5, dtype=int)
@@ -354,6 +368,12 @@ class TestFitBaseline:
         if tag == "kpca":  # no gamma or alpha to stack
             with pytest.raises(ClassifyError, match="holds one method"):
                 fit_plane([ci.Method("kpca")] * 2, prepared)
+
+    def test_kpca_preparation_builds_no_group_index(self, make_dataset, monkeypatch):
+        # kpca reads only the class and domain counts, for its default q
+        data = make_dataset(n_domains=2, n_classes=3, n=18)
+        monkeypatch.setattr(condinv.classify, "group_index", None)
+        assert prepare_fit("kpca", data, ci.KernelSpec(bandwidth=1.2)).default_q == 6
 
     @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
     def test_reduced_preparation_matches_dense(self, tag, monkeypatch):

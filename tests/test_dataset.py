@@ -400,6 +400,13 @@ class TestLoadFeatures:
         with pytest.raises(DatasetError, match="line 2"):
             load_features(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_rejects_non_finite(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text(f"u,v\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(DatasetError, match="line 3: non-finite"):
+            load_features(path)
+
 
 # --- malformed input raises DatasetError and nothing else ----------------------
 

@@ -72,6 +72,18 @@ class TestGrids:
         with pytest.raises(HarnessError, match=f"grid '{axis}' must hold positive finite"):
             ci.Grids(**{axis: (1.0, bad)})
 
+    @pytest.mark.parametrize("axis", ["q", "k"])
+    @pytest.mark.parametrize("bad", [2.5, np.inf, -np.inf, np.nan, True, "2"])
+    def test_q_and_k_take_integers(self, axis, bad):
+        # the config reader's integer rule, for library callers too
+        with pytest.raises(HarnessError, match=f"grid '{axis}' takes integers"):
+            ci.Grids(**{axis: (1, bad)})
+
+    def test_q_and_k_whole_numbers_become_ints(self):
+        grids = ci.Grids(q=[np.int64(4), 2.0], k=(np.int64(3), 1.0))
+        assert grids.q == (4, 2) and grids.k == (3, 1)
+        assert all(type(v) is int for v in grids.q + grids.k)
+
     def test_resolve_q_default(self):
         grids = ci.Grids()
         # n=40, C=3, m=2: {2, 6, 12}

@@ -99,6 +99,11 @@ class TestMedianBandwidth:
         with pytest.raises(KernelError, match="finite features"):
             ci.median_bandwidth(x)
 
+    @pytest.mark.parametrize("max_points", [0, 1, -3])
+    def test_needs_two_max_points(self, rng, max_points):
+        with pytest.raises(KernelError, match="max_points >= 2"):
+            ci.median_bandwidth(rng.normal(size=(6, 2)), max_points=max_points)
+
     def test_needs_two_samples(self):
         with pytest.raises(KernelError, match="2 samples"):
             ci.median_bandwidth(np.ones((1, 3)))

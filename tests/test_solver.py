@@ -59,6 +59,21 @@ class TestSolverConfig:
         with pytest.raises(SolverError, match="q must be >= 1"):
             ci.solve(scatters, 0)
 
+    @pytest.mark.parametrize("q", [1.5, 2.0, True, np.float64(1.0), "1"])
+    def test_q_must_be_an_integer(self, q):
+        with pytest.raises(SolverError, match="q must be an integer"):
+            solve_plane(diagonal_scatters([4.0, 1.0], 2), [(1.0, 1.0)], q, 1e-5)
+        with pytest.raises(SolverError, match="q must be an integer"):
+            solve_kpca(np.eye(2), q)
+
+    def test_method_q_must_be_an_integer(self, make_dataset):
+        data = make_dataset(n=12)
+        for tag in ("kpca", "cidg"):
+            with pytest.raises(SolverError, match="q must be an integer"):
+                ci.fit_baseline(ci.Method(tag, q=2.5), data, ci.KernelSpec(bandwidth=1.0))
+        model = ci.fit_baseline(ci.Method("cidg", q=np.int64(2)), data, ci.KernelSpec(bandwidth=1.0))
+        assert model.requested_q == 2
+
     @pytest.mark.parametrize(
         "weights, epsilon, match",
         [
