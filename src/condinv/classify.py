@@ -24,7 +24,8 @@ All four produce a ProjectionModel whose projection feeds the same KNN.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -182,62 +183,82 @@ def accuracy(predicted, truth) -> float:
 
 
 @dataclass(frozen=True)
-class PreparedFit:
+class KernelHead:
     """The part of a fit that depends on the data and kernel only.
 
-    Everything here is fixed once the method tag, the training set and the
-    bandwidth are: the resolved kernel, the centered Gram matrix Kc and its
-    centering statistics, the orthonormal range basis Q of Kc (n x m)
-    that the solve works in (None, the identity, when Kc's numerical rank
-    m exceeds n / 2; see solver.range_basis), and (for the pencil methods)
-    the scatter matrices, whose factors are then m x r and whose within
-    term is m x m, in Q's coordinates. fit_plane adds gamma, alpha,
-    epsilon and q, so one PreparedFit serves every point of a
-    (gamma, alpha, epsilon, q) grid. The training coordinates of any model
-    fitted from it are Kc.T times its projection_basis, as project
-    computes them.
+    Everything here is fixed once the training set and the bandwidth are,
+    whatever the method: the resolved kernel, the centered Gram matrix Kc
+    and its centering statistics, the default q, and the orthonormal range
+    basis Q of Kc (n x m) that the solve works in (None, the identity,
+    when Kc's numerical rank m exceeds n / 2; see solver.range_basis).
+    prepare_fit builds one, or takes one that kernel_head built, so the
+    grid builds one per bandwidth scale for every method it searches.
     """
 
-    tag: str
     spec: KernelSpec
     features: np.ndarray
     centering: CenteringStats
     Kc: np.ndarray
     default_q: int
-    basis: np.ndarray | None = None
+    basis: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class PreparedFit(KernelHead):
+    """A KernelHead plus what method ``tag`` adds before it solves.
+
+    For the pencil methods that is the scatter matrices, whose factors are
+    m x r and whose within term is m x m, in the basis's coordinates.
+    fit_plane adds gamma, alpha, epsilon and q, so one PreparedFit serves
+    every point of a (gamma, alpha, epsilon, q) grid. The training
+    coordinates of any model fitted from it are Kc.T times its
+    projection_basis, as project computes them.
+    """
+
+    tag: str
     scatters: ScatterSet | None = None
     adjustments: tuple[str, ...] = ()
+
+
+def kernel_head(train: LabeledDataset, spec: KernelSpec) -> KernelHead:
+    """The method-independent head of a fit on train.
+
+    The bandwidth is resolved on the training features when the spec
+    carries the "median" sentinel.
+    """
+    spec = resolve_bandwidth(spec, train.features)
+    Kc, stats = centered_gram(train.features, spec)
+    q = default_q(train.n, len(train.class_ids), len(train.domain_ids))
+    return KernelHead(spec, train.features, stats, Kc, q, range_basis(Kc))
 
 
 def prepare_fit(
     tag: str,
     train: LabeledDataset,
-    spec: KernelSpec,
+    spec: KernelSpec | KernelHead,
     lenient: bool = False,
 ) -> PreparedFit:
     """Kernel, centering and scatters for fitting method ``tag`` on train.
 
-    The bandwidth is resolved on the training features when the spec
-    carries the "median" sentinel. Only cidg reads per-(domain, class)
-    weights, so only cidg needs every class in every domain (or lenient).
+    spec is the kernel, whose head kernel_head builds here, or a head it
+    built on train already. Only cidg reads per-(domain, class) weights,
+    so only cidg needs every class in every domain (or lenient).
     """
     if tag == "raw_knn":
         raise ClassifyError("raw_knn has no projection model to fit")
     if tag not in METHOD_TAGS:
         raise ClassifyError(f"unknown method {tag!r}; use one of {METHOD_TAGS}")
-    spec = resolve_bandwidth(spec, train.features)
-    X = train.features
-    Kc, stats = centered_gram(X, spec)
-    q = default_q(train.n, len(train.class_ids), len(train.domain_ids))
-    Q = range_basis(Kc)
+    head = spec if isinstance(spec, KernelHead) else kernel_head(train, spec)
+    prepared = partial(PreparedFit, **{f.name: getattr(head, f.name) for f in fields(KernelHead)})
     if tag == "kpca":
-        return PreparedFit(tag, spec, X, stats, Kc, q, Q)
+        return prepared(tag=tag)
     groups = group_index(train)
+    Kc, Q = head.Kc, head.basis
     rows = Kc if Q is None else Q.T @ Kc  # the scatters in Q's coordinates
     if tag == "cidg":
         weights = build_weights(groups, lenient=lenient)
-        return PreparedFit(
-            tag, spec, X, stats, Kc, q, Q, scatter_set(rows, weights, Q), weights.adjustments
+        return prepared(
+            tag=tag, scatters=scatter_set(rows, weights, Q), adjustments=weights.adjustments
         )
     # only the scatters the method's pencil weighs: dica_marginal's domain
     # scatter takes the prior's place, kfda has neither
@@ -251,7 +272,7 @@ def prepare_fit(
         within=within_scatter(rows, weights),
         basis=Q,
     )
-    return PreparedFit(tag, spec, X, stats, Kc, q, Q, scatters)
+    return prepared(tag=tag, scatters=scatters)
 
 
 def fit_plane(methods: Sequence[Method], prepared: PreparedFit) -> PlaneSolution:

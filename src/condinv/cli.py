@@ -33,6 +33,7 @@ from .harness import (
     HarnessError,
     config_from_file,
     export_features,
+    grid_heads,
     grid_search,
     load_spec,
     refit_repetition,
@@ -132,10 +133,13 @@ def _cmd_run(args) -> int:
 def _cmd_grid(args) -> int:
     config = config_from_file(args.config)
     _, val, fit_part = repetition_parts(config, args.repetition)
+    heads = grid_heads(
+        fit_part, val, config.methods, config.grids, config.kernel, config.cross_centering
+    )
     tree = {}
     for tag in config.methods:
         chosen = grid_search(fit_part, val, tag, config.grids, kernel=config.kernel,
-                             cross_centering=config.cross_centering)
+                             cross_centering=config.cross_centering, heads=heads)
         for warning in chosen.warnings:
             print(f"warning: {tag}: {warning}", file=sys.stderr)
         tree[tag] = chosen.to_dict()

@@ -25,10 +25,13 @@ their own medians.
 
 The search does each piece of work once for the axes it depends on:
 
-  per bandwidth scale   the kernel, the centered training Gram matrix and
-                        its statistics, the weights and scatter factors
-                        (classify.prepare_fit), and the centered
-                        validation cross kernel;
+  per bandwidth scale   the kernel head: the kernel, the centered training
+                        Gram matrix, its statistics and range basis
+                        (classify.kernel_head), and the centered
+                        validation cross kernel, built once for every
+                        method of a repetition (grid_heads);
+  per (scale, method)   the weights and scatter factors
+                        (classify.prepare_fit on the scale's head);
   per (scale, epsilon)  one solve of the whole (gamma, alpha) plane at the
                         largest q (solver.solve_plane, through
                         classify.fit_plane): one factorization of the
@@ -56,6 +59,7 @@ same ResultRecord.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import numbers
@@ -74,6 +78,7 @@ from .classify import (
     accuracy,
     fit_baseline,
     fit_plane,
+    kernel_head,
     knn_predict,
     knn_votes,
     prepare_fit,
@@ -491,28 +496,51 @@ def _method(tag: str, gamma, alpha, epsilon, q) -> Method:
     return Method(tag, q=q, **{name: v for name, v in axes.items() if v is not None})
 
 
-def _fitted_scales(train, val, method_tag, axes, q_max, kernel, cross_centering, failures):
+def _scale_heads(train, val, scales, kernel, cross_centering) -> dict:
+    """Per bandwidth scale, its kernel head on train and centered validation kernel.
+
+    A scale whose head raises one of the package's errors holds the error.
+    """
+    base_bw = resolve_bandwidth(kernel, train.features).bandwidth
+    heads = {}
+    for scale in scales:
+        try:
+            head = kernel_head(train, KernelSpec(kernel.family, base_bw * scale))
+        except _FIT_ERRORS as exc:
+            heads[scale] = exc
+            continue
+        heads[scale] = head, centered_cross_kernel(
+            head.spec, train.features, head.centering, val.features, cross_centering
+        )
+    return heads
+
+
+def _fitted_scales(
+    train, val, method_tag, axes, q_max, kernel, cross_centering, failures, heads=None
+):
     """Per scale, its (gamma, alpha, epsilon) points and their coordinates.
 
     Yields (scale, points, coords): the points in grid order and, by point
     index, the full-width training and validation coordinates of each point
     that fitted. A failed point appends one entry to ``failures``, also when
-    its whole scale failed to prepare.
+    its whole scale failed to prepare. heads are the scales' kernel heads
+    (see grid_heads), built here when None.
     """
     scales, gammas, alphas, epsilons = axes
     plane = [(g, a) for g in gammas for a in alphas]
     points = [(g, a, e) for g, a in plane for e in epsilons]
     planes = [[_method(method_tag, g, a, e, q_max) for g, a in plane] for e in epsilons]
-    base_bw = resolve_bandwidth(kernel, train.features).bandwidth
+    if heads is None:
+        heads = _scale_heads(train, val, scales, kernel, cross_centering)
     for scale in scales:
         try:
-            prepared = prepare_fit(method_tag, train, KernelSpec(kernel.family, base_bw * scale))
+            if isinstance(heads[scale], Exception):  # the scale's head failed
+                raise heads[scale]
+            head, val_kernel = heads[scale]
+            prepared = prepare_fit(method_tag, train, head)
         except _FIT_ERRORS as exc:
             failures.extend(_FAILURE.format(scale, *point, exc) for point in points)
             continue
-        val_kernel = centered_cross_kernel(
-            prepared.spec, train.features, prepared.centering, val.features, cross_centering
-        )
         solved = []
         for methods in planes:
             try:
@@ -554,6 +582,53 @@ def _accuracies(coords, n_points, q_values, ks, train, val) -> np.ndarray:
     return acc
 
 
+def _search_values(train, val, method_tag, grids) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The k values and q widths a search of method_tag on train tries.
+
+    Raises HarnessError when the search could try nothing, before any fit.
+    """
+    if method_tag not in METHOD_TAGS:
+        raise HarnessError(f"unknown method {method_tag!r}")
+    if train.n == 0 or val.n == 0:
+        raise HarnessError("grid search needs non-empty train and validation data")
+    ks = tuple(k for k in sorted(grids.k) if k <= train.n)
+    if not ks:
+        raise HarnessError(
+            f"no k in the grid {tuple(sorted(grids.k))} is at most the {train.n} fit rows"
+        )
+    if method_tag == "raw_knn":
+        return ks, (train.n_features,)  # one "q" keeps every feature column
+    q_values = grids.resolve_q(train.n, len(train.class_ids), len(train.domain_ids))
+    if not q_values:
+        raise HarnessError(f"{method_tag} needs at least 2 fit rows to project, got {train.n}")
+    return ks, q_values
+
+
+def grid_heads(
+    train: LabeledDataset,
+    val: LabeledDataset,
+    methods,
+    grids: Grids,
+    kernel: KernelSpec = KernelSpec(),
+    cross_centering: str = "paper",
+) -> dict | None:
+    """The kernel heads that the grid searches of methods on train share.
+
+    One per bandwidth scale: the scale's kernel head on train
+    (classify.kernel_head: the kernel, the centered Gram matrix and its
+    range basis) and the centered validation cross kernel. A scale whose
+    head fails holds its error, and every search marks that scale's points
+    failed. Every method's grid is checked first, so a search that could
+    try nothing fails as it would alone, before any kernel is built.
+    None when no method projects.
+    """
+    for tag in methods:
+        _search_values(train, val, tag, grids)
+    if all(tag == "raw_knn" for tag in methods):
+        return None
+    return _scale_heads(train, val, sorted(grids.bandwidth_scale), kernel, cross_centering)
+
+
 def grid_search(
     train: LabeledDataset,
     val: LabeledDataset,
@@ -561,6 +636,7 @@ def grid_search(
     grids: Grids,
     kernel: KernelSpec = KernelSpec(),
     cross_centering: str = "paper",
+    heads: dict | None = None,
 ) -> ChosenParams:
     """Exhaustive validation-accuracy search over the method's grid axes.
 
@@ -569,36 +645,25 @@ def grid_search(
     the solver guarantees to be identical to a direct smaller-q fit. A
     point whose fit raises one of the package's errors is skipped; when
     some points fail and others do not, the winner carries a warning that
-    counts the failures.
+    counts the failures. heads, from grid_heads on the same train, val,
+    grids, kernel and cross_centering, are shared kernel heads; without
+    them the search builds its own.
     """
-    if method_tag not in METHOD_TAGS:
-        raise HarnessError(f"unknown method {method_tag!r}")
-    if train.n == 0 or val.n == 0:
-        raise HarnessError("grid search needs non-empty train and validation data")
-
-    scales, gammas, alphas, epsilons, ks = _method_axes(method_tag, grids)
-    ks = tuple(k for k in ks if k <= train.n)
+    ks, q_values = _search_values(train, val, method_tag, grids)
+    scales, gammas, alphas, epsilons, _ = _method_axes(method_tag, grids)
     failures: list[str] = []
     if method_tag == "raw_knn":
-        # one point whose one "q" keeps every feature column
-        q_values, q_labels = (train.n_features,), (None,)
+        q_labels = (None,)
         fitted = [(None, [(None, None, None)], {0: (train.features, val.features)})]
     else:
-        q_values = grids.resolve_q(train.n, len(train.class_ids), len(train.domain_ids))
-        if not q_values:
-            raise HarnessError(
-                f"{method_tag} needs at least 2 fit rows to project, got {train.n}"
-            )
         q_labels = q_values
         fitted = _fitted_scales(
             train, val, method_tag, (scales, gammas, alphas, epsilons), max(q_values),
-            kernel, cross_centering, failures,
+            kernel, cross_centering, failures, heads,
         )
 
     best: ChosenParams | None = None
     for scale, points, coords in fitted:
-        if not ks:
-            continue
         acc = _accuracies(coords, len(points), q_values, ks, train, val)
         i = int(acc.argmax())  # the first best in (point, q, k) grid order
         # an earlier scale keeps a tie; -1 marks what was not scored
@@ -637,9 +702,12 @@ def run_experiment(config: ExperimentConfig) -> ResultRecord:
     per_method: dict[str, list[RepetitionResult]] = {m: [] for m in config.methods}
     for r in range(config.repetitions):
         train, val, fit_part, split_warnings = _repetition_splits(config, source, r)
+        heads = grid_heads(
+            fit_part, val, config.methods, config.grids, config.kernel, config.cross_centering
+        )
         for tag in config.methods:
             chosen = grid_search(fit_part, val, tag, config.grids, kernel=config.kernel,
-                                 cross_centering=config.cross_centering)
+                                 cross_centering=config.cross_centering, heads=heads)
             model = _fit_chosen(tag, chosen, train, config.kernel)
             warnings = split_warnings + chosen.warnings
             if model is None:
@@ -783,8 +851,10 @@ def export_features(
     label_names = data.label_names or {}
     domain_names = data.domain_names or {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("component_1,component_2,label,domain\n")
+        # csv quotes a name holding a comma, quote or line break, as load_csv reads it
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("component_1", "component_2", "label", "domain"))
         for i in range(data.n):
             label = label_names.get(int(data.labels[i]), str(int(data.labels[i])))
             domain = domain_names.get(int(data.domains[i]), str(int(data.domains[i])))
-            fh.write(f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},{label},{domain}\n")
+            out.writerow((repr(float(coords[i, 0])), repr(float(coords[i, 1])), label, domain))

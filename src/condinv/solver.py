@@ -32,9 +32,12 @@ C - 1 eigenvalues are positive.
 
 Every scatter maps into range(Kc), and D acts as eps I on its
 orthogonal complement, so every eigenvector with lambda > 0 lies in
-range(Kc) too. range_basis finds that range exactly: a pivoted Cholesky
-factor Kc = G G', stopped once every remaining pivot is at most 1e-12 of
-the largest diagonal entry, and the n x m orthonormal Q of G's thin QR.
+range(Kc) too. range_basis finds that range exactly: a partial pivoted
+Cholesky factor Kc = G G' (the incomplete Cholesky of Fine and Scheinberg
+2001 and Bach and Jordan 2002), formed one column at a time from the
+pivots' rows of Kc and stopped once every remaining pivot is at most
+1e-12 of the largest diagonal entry, and the n x m orthonormal Q of G's
+thin QR. It costs O(n m^2) and reads only m rows of Kc.
 Every such eigenvector is b = Q c for an m-vector c, which solves
 
     Q' P Q c = lambda Q' D Q c,
@@ -46,8 +49,9 @@ no n x n product is formed. The residual screen runs on B_m (Q is
 orthonormal, so the norms are those of the n-length residuals); the sign
 rule and the tolerance cut act on the n-length columns of B. The rank
 rule: the basis is used when 2m <= n. Above that the thin QR of G costs
-more than the n-sized work it saves, so range_basis returns None (the
-identity) and the pencil is solved on Kc's own coordinates. Kernel PCA
+more than the n-sized work it saves, so range_basis stops once its
+factor passes n / 2 columns and returns None (the identity), and the
+pencil is solved on Kc's own coordinates. Kernel PCA
 reduces the same way, to the eigenpairs of Q' Kc Q.
 
 Only S depends on gamma and alpha, so one solve_plane call per
@@ -69,6 +73,7 @@ retained training features, centered, times B Lambda^{-1/2}.
 
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 from dataclasses import dataclass
@@ -213,20 +218,33 @@ class PlaneSolution:
 def range_basis(Kc: np.ndarray) -> np.ndarray | None:
     """Orthonormal basis of the numerical range of a centered Gram matrix.
 
-    Pivoted Cholesky (LAPACK dpstrf) stops once every remaining pivot is
-    at most 1e-12 times the largest diagonal entry; its m columns, put
-    back in row order, are a factor G with Kc = G G' to that tolerance.
-    Returns the n x m Q of G's thin QR when 0 < 2m <= n, else None (the
-    identity: solve on Kc itself).
+    A partial pivoted Cholesky: starting from diag(Kc), each step takes
+    the largest remaining diagonal entry d_p as pivot, forms one column of
+    the factor, g = (Kc[p] - G' G[:, p]) / sqrt(d_p), from a row of Kc (Kc
+    is symmetric), and lowers the remaining diagonal by g**2. It stops once
+    every remaining pivot is at most 1e-12 times the largest diagonal
+    entry, so its m columns are a factor G with Kc = G G' to that
+    tolerance, formed in O(n m^2) from m rows of Kc. Returns the n x m Q of
+    G's thin QR when 0 < 2m <= n, else None (the identity: solve on Kc
+    itself); a factor passing n / 2 columns is abandoned there.
     """
     n = Kc.shape[0]
-    tol = _PIVOT_TOLERANCE * float(np.max(np.diag(Kc)))
-    c, piv, m, _ = scipy.linalg.lapack.dpstrf(Kc, tol=tol, lower=1)
-    if m == 0 or 2 * m > n:
-        return None
-    G = np.empty((n, m))
-    G[piv - 1] = np.tril(c[:, :m])  # P' Kc P = L L', so Kc = G G' with G = P L
-    return np.linalg.qr(G)[0]
+    remaining = np.diag(Kc).copy()
+    tol = _PIVOT_TOLERANCE * float(remaining.max())
+    rows = np.empty((n // 2, n))  # the factor's columns, as rows
+    for m in range(n // 2 + 1):  # every pass breaks or returns by the last
+        p = int(remaining.argmax())
+        pivot = float(remaining[p])
+        if pivot <= tol:
+            break
+        if m == n // 2:
+            return None
+        g = rows[m]
+        np.subtract(Kc[p], rows[:m, p] @ rows[:m], out=g)
+        g *= 1.0 / math.sqrt(pivot)
+        remaining -= g * g
+        remaining[p] = -np.inf  # a pivot is never picked again
+    return None if m == 0 else np.linalg.qr(rows[:m].T)[0]
 
 
 def solve_kpca(Kc: np.ndarray, q: int, basis: np.ndarray | None = None) -> PlaneSolution:

@@ -255,3 +255,21 @@ def pencil_eig_dense(scatters, *, q, gamma, alpha, epsilon):
         lam = lam[:cut]
         vecs = vecs[:, :cut]
     return lam, vecs, warnings
+
+
+def range_basis_dpstrf(Kc):
+    """solver.range_basis by LAPACK's pivoted Cholesky over the whole matrix.
+
+    dpstrf stops once every remaining pivot is at most 1e-12 of the
+    largest diagonal entry; its m columns, put back in row order, are a
+    factor G with Kc = G G'. The n x m Q of G's thin QR when 0 < 2m <= n,
+    else None.
+    """
+    n = Kc.shape[0]
+    tol = 1e-12 * float(np.max(np.diag(Kc)))
+    c, piv, m, _ = scipy.linalg.lapack.dpstrf(Kc, tol=tol, lower=1)
+    if m == 0 or 2 * m > n:
+        return None
+    G = np.empty((n, m))
+    G[piv - 1] = np.tril(c[:, :m])  # P' Kc P = L L', so Kc = G G' with G = P L
+    return np.linalg.qr(G)[0]

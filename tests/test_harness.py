@@ -1,8 +1,10 @@
 """Experiment orchestration: configs, grid search, protocol, reports."""
 
 import copy
+import csv
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import condinv as ci
 from condinv.dataset import CellSpec, DatasetError, SyntheticSpec
-from condinv.harness import HarnessError, _fitted_scales, _method, _method_axes
+from condinv.harness import HarnessError, _fitted_scales, _method, _method_axes, grid_heads
 from conftest import missing_cell_dataset, paths, random_dataset, yaml_nodes
 
 
@@ -644,6 +646,69 @@ class TestGridSearch:
             ci.grid_search(one, val, tag, grids, kernel=kernel)
         assert ci.grid_search(one, val, "raw_knn", grids, kernel=kernel).k == 1
 
+    @pytest.mark.parametrize("tag", ci.METHOD_TAGS)
+    def test_no_usable_k_fails_before_any_fit(self, tag, monkeypatch):
+        # every k above the fit rows: the search could score nothing, so it
+        # fails naming the k grid before a kernel is built
+        import condinv.harness
+
+        monkeypatch.setattr(condinv.harness, "kernel_head", None)  # a fit would be a TypeError
+        config = small_config(methods=(tag,))
+        _, val, fit_part = self.parts(config)
+        n = fit_part.n
+        grids = ci.Grids(bandwidth_scale=(1.0,), k=(n + 3, n + 1))
+        want = rf"no k in the grid \({n + 1}, {n + 3}\) is at most the {n} fit rows"
+        with pytest.raises(HarnessError, match=want):
+            ci.grid_search(fit_part, val, tag, grids)
+        with pytest.raises(HarnessError, match=want):
+            ci.run_experiment(replace(config, grids=grids))
+
+
+class TestSharedHeads:
+    """One kernel head per (repetition, bandwidth scale) serves every method's grid."""
+
+    def test_one_gram_per_repetition_and_scale(self, monkeypatch):
+        import condinv.classify
+
+        rows = []
+        centered_gram = condinv.classify.centered_gram
+
+        def counted(features, spec):
+            rows.append(len(features))
+            return centered_gram(features, spec)
+
+        monkeypatch.setattr(condinv.classify, "centered_gram", counted)
+        config = small_config(methods=ci.METHOD_TAGS)  # 2 repetitions, 2 scales
+        ci.run_experiment(config)
+        train, _, fit_part = ci.repetition_parts(config, 0)
+        assert train.n != fit_part.n
+        # the grids: one per (repetition, scale), not per method; the
+        # refits: one per (repetition, projection method)
+        assert rows.count(fit_part.n) == 2 * 2
+        assert rows.count(train.n) == 2 * 4
+        assert len(rows) == 12
+
+    @pytest.mark.parametrize("tag", ci.METHOD_TAGS)
+    def test_shared_heads_choose_as_own_heads(self, tag):
+        # at 1e308 times the bandwidth the kernel spec overflows, so that
+        # scale's head fails and every method marks its points failed
+        _, val, fit_part = ci.repetition_parts(small_config(), 0)
+        grids = ci.Grids(
+            bandwidth_scale=(1e308, 0.5, 1.0), gamma=(0.1, 1.0), alpha=(1.0, 10.0),
+            epsilon=(1e-5, 1e-3), q=(2, 3), k=(1, 3),
+        )
+        kernel = ci.KernelSpec(bandwidth=2.0)
+        heads = grid_heads(fit_part, val, ci.METHOD_TAGS, grids, kernel, "standard")
+        assert isinstance(heads[1e308], ci.KernelError)
+        own = ci.grid_search(fit_part, val, tag, grids, kernel, "standard")
+        assert ci.grid_search(fit_part, val, tag, grids, kernel, "standard", heads=heads) == own
+        if tag != "raw_knn":
+            assert "scale=1e+308" in own.warnings[0]
+
+    def test_no_heads_without_a_projection_method(self):
+        _, val, fit_part = ci.repetition_parts(small_config(), 0)
+        assert grid_heads(fit_part, val, ("raw_knn",), ci.Grids()) is None
+
 
 class TestRunExperiment:
     def test_record_shape_and_methods(self):
@@ -785,6 +850,24 @@ class TestExportFeatures:
         want = ci.project(model, data.features, mode="paper")[:, :2]
         got0 = [float(v) for v in lines[1].split(",")[:2]]
         assert got0 == [want[0, 0], want[0, 1]]  # repr round trip is exact
+
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        src = tmp_path / "data.csv"
+        src.write_text(
+            'x1,x2,label,domain\n0.5,1.5,"cat, ""big""",s\n-1.0,2.0,dog,"t,1"\n', encoding="utf-8"
+        )
+        data = ci.load_csv(str(src))
+        out = tmp_path / "out.csv"
+        ci.export_features(None, data, str(out))
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["component_1", "component_2", "label", "domain"],
+            ["0.5", "1.5", 'cat, "big"', "s"],
+            ["-1.0", "2.0", "dog", "t,1"],
+        ]
+        # a plain name is written bare, each row ending in one newline
+        assert out.read_bytes().splitlines(keepends=True)[2] == b'-1.0,2.0,dog,"t,1"\n'
 
     def test_single_component_model_rejected(self, tmp_path):
         # collinear cloud with a linear kernel keeps only one component

@@ -1,5 +1,6 @@
 """Generalized eigensolver, projection and model serialization."""
 
+import os
 import struct
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import condinv as ci
-from condinv.kernel import CenteringStats
+from condinv.kernel import CenteringStats, centered_gram
 from condinv.scatter import ScatterSet
 from condinv.solver import SolverError, projection_basis, range_basis, solve_kpca, solve_plane
 import oracles
 from conftest import assert_same_solution, random_dataset
+from test_cli import CONFIG_DIR
 
 
 def fit_scatters(data):
@@ -431,6 +433,50 @@ class TestRangeBasis:
         Q = range_basis(Kc)
         with pytest.raises(SolverError, match="inconsistent shapes"):
             solve_plane(ci.scatter_set(Q.T @ Kc, w, Q[:, 1:]), [(1.0, 1.0)], 2, 1e-5)
+
+
+def benchmark_grams():
+    """The fit-part and refit Kc of benchmark.yaml's repetition 0 at every grid scale."""
+    config = ci.config_from_file(os.path.join(CONFIG_DIR, "benchmark.yaml"))
+    train, _, fit_part = ci.repetition_parts(config, 0)
+    for part in (fit_part, train):
+        base = ci.median_bandwidth(part.features)
+        for scale in config.grids.bandwidth_scale:
+            yield centered_gram(part.features, ci.KernelSpec("rbf", base * scale))[0]
+
+
+class TestRangeBasisOracle:
+    """The partial pivoted Cholesky against LAPACK's dpstrf over the whole matrix."""
+
+    @staticmethod
+    def assert_same_range(Kc):
+        got, want = range_basis(Kc), oracles.range_basis_dpstrf(Kc)
+        assert (got is None) == (want is None)
+        if want is None:
+            return
+        assert got.shape == want.shape
+        assert np.allclose(got.T @ got, np.eye(got.shape[1]), rtol=0.0, atol=1e-12)
+        # the directions near the 1e-12 pivot cut are fixed only to rounding
+        # over the cut, in either factor (dpstrf against itself on a permuted
+        # Kc differs by as much); the projection of Kc, which is all the
+        # solve reads, agrees to rounding
+        diff = got @ (got.T @ Kc) - want @ (want.T @ Kc)
+        assert np.linalg.norm(diff) <= 1e-10 * np.linalg.norm(Kc)
+
+    @pytest.mark.parametrize("n, scale", REDUCED_CASES + [(150, 0.05), (2000, 1.0)])
+    def test_matches_dpstrf(self, n, scale):
+        self.assert_same_range(rbf_case(n, scale)[0])
+
+    def test_matches_dpstrf_on_the_benchmark_repetition(self):
+        grams = list(benchmark_grams())
+        assert len(grams) == 10
+        for Kc in grams:
+            self.assert_same_range(Kc)
+
+    def test_rank_one(self):
+        v = np.arange(1.0, 7.0)
+        Q = range_basis(np.outer(v, v))
+        assert Q.shape == (6, 1) and np.allclose(np.abs(Q[:, 0]), v / np.linalg.norm(v))
 
 
 class TestProjectionModel:
