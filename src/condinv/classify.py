@@ -33,7 +33,15 @@ from scipy.spatial.distance import cdist
 
 from .dataset import LabeledDataset, group_index
 # gram, center_train and solve stay bound here only for perfbench's tracer
-from .kernel import CenteringStats, KernelSpec, center_train, centered_gram, gram, resolve_bandwidth
+from .kernel import (
+    CenteringStats,
+    KernelSpec,
+    center_gram,
+    center_train,
+    centered_gram,
+    gram,
+    resolve_bandwidth,
+)
 from .scatter import (
     ScatterSet,
     between_scatter,
@@ -44,10 +52,12 @@ from .scatter import (
     within_scatter,
 )
 from .solver import (
+    GramFactor,
     PlaneSolution,
     ProjectionModel,
     default_q,
-    range_basis,
+    factor_gram,
+    pivot_projection,
     solve,
     solve_kpca,
     solve_plane,
@@ -187,10 +197,14 @@ class KernelHead:
     """The part of a fit that depends on the data and kernel only.
 
     Everything here is fixed once the training set and the bandwidth are,
-    whatever the method: the resolved kernel, the centered Gram matrix Kc
-    and its centering statistics, the default q, and the orthonormal range
-    basis Q of Kc (n x m) that the solve works in (None, the identity,
-    when Kc's numerical rank m exceeds n / 2; see solver.range_basis).
+    whatever the method: the resolved kernel, the centering statistics of
+    the Gram matrix K, the default q, and the centered Gram matrix Kc in
+    the coordinates the solve works in. A head whose partial pivoted
+    Cholesky factor K = H H' (solver.factor_gram) stops by n / 2 columns
+    keeps that factor, the orthonormal range basis Q of Hc = H less its
+    column means, Hc = Q R (n x m), and Kc as Q' Kc = R Hc' (m x n); no
+    n x n matrix is formed. Otherwise factor and basis are None and Kc is
+    the n x n centered Gram matrix itself, centered in K's own buffer.
     prepare_fit builds one, or takes one that kernel_head built, so the
     grid builds one per bandwidth scale for every method it searches.
     """
@@ -201,6 +215,7 @@ class KernelHead:
     Kc: np.ndarray
     default_q: int
     basis: np.ndarray | None
+    factor: GramFactor | None
 
 
 @dataclass(frozen=True)
@@ -211,8 +226,8 @@ class PreparedFit(KernelHead):
     m x r and whose within term is m x m, in the basis's coordinates.
     fit_plane adds gamma, alpha, epsilon and q, so one PreparedFit serves
     every point of a (gamma, alpha, epsilon, q) grid. The training
-    coordinates of any model fitted from it are Kc.T times its
-    projection_basis, as project computes them.
+    coordinates Kc P of a model fitted from it, P its projection_basis,
+    are Kc.T @ P, or Kc.T @ (Q' P) with a basis Q.
     """
 
     tag: str
@@ -227,9 +242,20 @@ def kernel_head(train: LabeledDataset, spec: KernelSpec) -> KernelHead:
     carries the "median" sentinel.
     """
     spec = resolve_bandwidth(spec, train.features)
-    Kc, stats = centered_gram(train.features, spec)
-    q = default_q(train.n, len(train.class_ids), len(train.domain_ids))
-    return KernelHead(spec, train.features, stats, Kc, q, range_basis(Kc))
+    x, n = train.features, train.n
+    q = default_q(n, len(train.class_ids), len(train.domain_ids))
+    factor, K = factor_gram(x, spec)
+    if factor is None:  # the dense head, centered in K's own buffer
+        Kc, stats = centered_gram(x, spec) if K is None else (K, center_gram(K))
+        return KernelHead(spec, x, stats, Kc, q, None, None)
+    H = factor.H
+    s = H.sum(axis=0)  # H' 1
+    Hc = H - s / n
+    Q, R = np.linalg.qr(Hc)
+    row_means = H @ (s / n)
+    row_means.flags.writeable = False
+    stats = CenteringStats(n, row_means, float(s @ s) / (n * n))
+    return KernelHead(spec, x, stats, R @ Hc.T, q, Q, factor)
 
 
 def prepare_fit(
@@ -253,8 +279,7 @@ def prepare_fit(
     if tag == "kpca":
         return prepared(tag=tag)
     groups = group_index(train)
-    Kc, Q = head.Kc, head.basis
-    rows = Kc if Q is None else Q.T @ Kc  # the scatters in Q's coordinates
+    rows, Q = head.Kc, head.basis  # the scatters in Q's coordinates
     if tag == "cidg":
         weights = build_weights(groups, lenient=lenient)
         return prepared(
@@ -314,11 +339,15 @@ def fit_baseline(
     The bandwidth is resolved on the training features when the spec
     carries the "median" sentinel. The model gets the resolved spec, the
     training features and their centering, so it projects on its own, and
-    any lenient-weight adjustments as warnings.
+    any lenient-weight adjustments as warnings. A model whose kernel head
+    is factored also gets its pivot projection (solver.pivot_projection).
     """
     prepared = prepare_fit(method.tag, train, spec, lenient)
     model = fit_plane([method], prepared).model(0)
-    return replace(
+    model = replace(
         model, warnings=model.warnings + prepared.adjustments, kernel_spec=prepared.spec,
         training_features=prepared.features, centering=prepared.centering,
     )
+    if prepared.factor is None:
+        return model
+    return replace(model, pivots=pivot_projection(prepared.factor, model))

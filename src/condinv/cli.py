@@ -183,6 +183,10 @@ def _cmd_inspect(args) -> int:
     print(f"model: {args.model}")
     print(f"kernel: {spec.family}, bandwidth {spec.bandwidth}")
     print(f"training samples: {model.n_train}")
+    if model.pivots is None:
+        print(f"projection: all {model.n_train} training rows")
+    else:
+        print(f"projection: {len(model.pivots.features)} of {model.n_train} training rows (pivots)")
     print(f"feature dimension: {model.training_features.shape[1]}")
     print(f"components: {model.n_components} (requested q {model.requested_q})")
     print(f"gamma: {model.gamma}  alpha: {model.alpha}")

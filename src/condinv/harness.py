@@ -25,11 +25,13 @@ their own medians.
 
 The search does each piece of work once for the axes it depends on:
 
-  per bandwidth scale   the kernel head: the kernel, the centered training
-                        Gram matrix, its statistics and range basis
-                        (classify.kernel_head), and the centered
-                        validation cross kernel, built once for every
-                        method of a repetition (grid_heads);
+  per bandwidth scale   the kernel head: the kernel's partial pivoted
+                        Cholesky factor, its range basis and centered Gram
+                        rows in that basis, or the dense centered Gram
+                        matrix when the factor passes n / 2 columns, and
+                        its statistics (classify.kernel_head), and the
+                        centered validation cross kernel, built once for
+                        every method of a repetition (grid_heads);
   per (scale, method)   the weights and scatter factors
                         (classify.prepare_fit on the scale's head);
   per (scale, epsilon)  one solve of the whole (gamma, alpha) plane at the
@@ -40,8 +42,9 @@ The search does each piece of work once for the axes it depends on:
                         descending prefix of eigenpairs, so a smaller q
                         slices the leading columns;
   per point             the training and validation coordinates, as
-                        products of those kernels with the point's basis,
-                        read straight from the plane's solution;
+                        products of the head's centered Gram rows and the
+                        validation kernel with the point's basis, read
+                        straight from the plane's solution;
   per scale, one        the neighbor order and votes of every k for all
   stacked vote per q    points whose q slice has a new width, epsilon
   width and block       planes together (classify.knn_votes on a stack).
@@ -556,7 +559,10 @@ def _fitted_scales(
                 continue
             c = solution.kept[j]
             basis = projection_basis(solution.coefficients[j, :, :c], solution.eigenvalues[j, :c])
-            coords[i] = (prepared.Kc.T @ basis, val_kernel.T @ basis)  # as project computes
+            Q = prepared.basis
+            # Kc P, the training coordinates, as project computes them
+            train_coords = prepared.Kc.T @ (basis if Q is None else Q.T @ basis)
+            coords[i] = (train_coords, val_kernel.T @ basis)
         yield scale, points, coords
 
 
@@ -615,8 +621,9 @@ def grid_heads(
     """The kernel heads that the grid searches of methods on train share.
 
     One per bandwidth scale: the scale's kernel head on train
-    (classify.kernel_head: the kernel, the centered Gram matrix and its
-    range basis) and the centered validation cross kernel. A scale whose
+    (classify.kernel_head: the kernel's factor, its range basis and the
+    centered Gram rows in it, or the dense centered Gram matrix) and the
+    centered validation cross kernel. A scale whose
     head fails holds its error, and every search marks that scale's points
     failed. Every method's grid is checked first, so a search that could
     try nothing fails as it would alone, before any kernel is built.

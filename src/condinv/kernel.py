@@ -7,9 +7,10 @@ Gram matrix is centered symmetrically, while cross kernels between training
 and new samples support two modes (see center_cross).
 
 Each Gram matrix is built and centered in one buffer: gram exponentiates in
-its distance matrix, and centered_gram and centered_cross_gram (what a fit
-and a projection call) center that matrix in place. No public function
-mutates its inputs; center_train and center_cross_from_stats center a copy.
+its distance matrix, and centered_gram and centered_cross_gram center that
+matrix in place. center_gram centers a Gram matrix its caller built, in
+place; no other public function mutates its inputs, and center_train and
+center_cross_from_stats center a copy.
 """
 
 from __future__ import annotations
@@ -48,9 +49,13 @@ class KernelSpec:
                 raise KernelError(
                     f"bandwidth must be a positive number or {MEDIAN!r}, got {self.bandwidth!r}"
                 )
-        elif isinstance(self.bandwidth, bool) or not 0 < self.bandwidth < np.inf:
+        elif isinstance(self.bandwidth, bool) or not (
+            0 < self.bandwidth < np.inf and 0 < 2.0 * self.bandwidth * self.bandwidth < np.inf
+        ):
+            # gram divides by 2 sigma^2, which must not overflow or underflow to 0
             raise KernelError(
-                f"bandwidth must be a positive finite number, got {self.bandwidth}"
+                f"bandwidth must be a positive finite number with 2 * bandwidth^2 finite "
+                f"and above 0, got {self.bandwidth}"
             )
 
     @property
@@ -104,10 +109,18 @@ def gram(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
         return a @ b.T
     if not spec.resolved:
         raise KernelError("bandwidth is unresolved; call resolve_bandwidth first")
+    # every entry is computed on its own, so a block of rows of gram(a, b)
+    # is bitwise the gram of those rows of a
     k = cdist(a, b, metric="sqeuclidean")
     # bitwise equal to -k / (2 sigma^2): IEEE division is sign-symmetric
     k /= -(2.0 * float(spec.bandwidth) ** 2)
     return np.exp(k, out=k)
+
+
+def gram_diagonal(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The diagonal of gram(x, x, spec), without the matrix: 1 for rbf."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.einsum("ij,ij->i", x, x) if spec.family == "linear" else np.ones(x.shape[0])
 
 
 @dataclass(frozen=True)
@@ -174,12 +187,17 @@ def center_train(K: np.ndarray) -> np.ndarray:
     return K
 
 
+def center_gram(K: np.ndarray) -> CenteringStats:
+    """Center the square Gram matrix K in place, as center_train; return K's statistics."""
+    rows, total = _center(K, K.shape[0])
+    rows.flags.writeable = False
+    return CenteringStats(n=K.shape[0], row_means=rows, grand_mean=float(total))
+
+
 def centered_gram(x: np.ndarray, spec: KernelSpec) -> tuple[np.ndarray, CenteringStats]:
     """center_train(gram(x, x, spec)) and its Gram's CenteringStats, from one buffer."""
     K = gram(x, x, spec)
-    rows, total = _center(K, K.shape[0])
-    rows.flags.writeable = False
-    return K, CenteringStats(n=K.shape[0], row_means=rows, grand_mean=float(total))
+    return K, center_gram(K)
 
 
 def center_cross_from_stats(Kt: np.ndarray, stats: CenteringStats, mode: str = "paper") -> np.ndarray:

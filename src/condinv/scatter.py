@@ -17,7 +17,7 @@ as their n x r factors G (scatter = G G'), r the number of mean offsets:
 
 Every builder reads K only through products K @ v, so it accepts either
 the n x n centered Gram matrix or its rows Q' K in the coordinates of an
-orthonormal basis Q of its range (solver.range_basis; n x rank). The
+orthonormal basis Q of its range (classify.kernel_head; n x rank). The
 second gives every factor as Q' G (rank x r) and the within scatter as
 Q' K M K Q (rank x rank), with no n x n product formed.
 
@@ -257,7 +257,7 @@ class ScatterSet:
     Each *_factor is an n x r matrix G whose scatter is G @ G.T; the
     solver works on the factors and never expands them. An n x 0 factor
     stands for a zero scatter. When basis is an orthonormal Q (n x rank,
-    see solver.range_basis), the factors are rank x r and within is
+    see classify.kernel_head), the factors are rank x r and within is
     rank x rank, all in its coordinates: Q' G and Q' W Q. Only between
     keeps an expanding property, because perfbench's tracer
     (perfbench/tracing.py) reads the size of the solved pencil from it;

@@ -32,13 +32,19 @@ C - 1 eigenvalues are positive.
 
 Every scatter maps into range(Kc), and D acts as eps I on its
 orthogonal complement, so every eigenvector with lambda > 0 lies in
-range(Kc) too. range_basis finds that range exactly: a partial pivoted
-Cholesky factor Kc = G G' (the incomplete Cholesky of Fine and Scheinberg
-2001 and Bach and Jordan 2002), formed one column at a time from the
-pivots' rows of Kc and stopped once every remaining pivot is at most
-1e-12 of the largest diagonal entry, and the n x m orthonormal Q of G's
-thin QR. It costs O(n m^2) and reads only m rows of Kc.
-Every such eigenvector is b = Q c for an m-vector c, which solves
+range(Kc) too. factor_gram finds that range from a partial pivoted
+Cholesky factor K = H H' of the uncentered Gram matrix (the incomplete
+Cholesky of Fine and Scheinberg 2001 and Bach and Jordan 2002), formed one
+column at a time from the pivots' rows of K and stopped once every
+remaining pivot is at most 1e-12 of the largest diagonal entry of Kc. It
+costs O(n m^2) and reads only m rows of K, each formed on demand on large
+inputs, so no n x n matrix exists. With Hc = H less its column means,
+Kc = Hc Hc' to that tolerance, and the
+thin QR Hc = Q R gives the orthonormal n x m basis Q of range(Kc) and the
+centered Gram rows in its coordinates, Q' Kc = R Hc'. The centering
+statistics follow from the factor too: K's row means are H (H' 1) / n and
+its grand mean |H' 1|^2 / n^2. Every eigenvector with lambda > 0 is
+b = Q c for an m-vector c, which solves
 
     Q' P Q c = lambda Q' D Q c,
 
@@ -48,11 +54,26 @@ its ridge eps I. It is solved as above and mapped back as B = Q B_m, so
 no n x n product is formed. The residual screen runs on B_m (Q is
 orthonormal, so the norms are those of the n-length residuals); the sign
 rule and the tolerance cut act on the n-length columns of B. The rank
-rule: the basis is used when 2m <= n. Above that the thin QR of G costs
-more than the n-sized work it saves, so range_basis stops once its
-factor passes n / 2 columns and returns None (the identity), and the
-pencil is solved on Kc's own coordinates. Kernel PCA
-reduces the same way, to the eigenpairs of Q' Kc Q.
+rule: the basis is used when 2m <= n. Above that the thin QR costs more
+than the n-sized work it saves, so factor_gram gives up once its factor
+passes n / 2 columns, and the pencil is solved on the dense Kc's own
+coordinates. Kernel PCA reduces the same way, to the eigenpairs
+of Q' Kc Q = R R'.
+
+A model maps a new row x to h(x) = P' kc(x), with P = B Lambda^{-1/2}
+and kc(x) the centered kernel column of x against the n training rows.
+Every column of P lies in range(Kc), which is orthogonal to the ones
+vector, so sum_i P_i = 0: each centering term that is constant down the
+training rows (the column mean of the cross kernel, the grand mean)
+drops out of P' kc(x). What is left is c(x) = P' k(X, x) less one vector:
+"standard" mode subtracts P' r, r the training row means, and "paper"
+mode (1/n) sum_t c(x_t) over the projected batch. A factored model
+computes c(x) from its m pivot rows X_I alone. The factor is the Nystrom
+approximation on its pivots (Williams and Seeger 2001): with L = H[I],
+lower triangular, k(X, x) = H L^{-1} k(X_I, x) to the factor's
+tolerance, so c(x) = C' k(X_I, x) with C = L^{-T} H' P (m x q). A
+projection then costs m (d + q) per row instead of n (d + q); a model
+whose factor passed n / 2 projects through all n training rows.
 
 Only S depends on gamma and alpha, so one solve_plane call per
 (scatters, eps) plane does the n- (or m-) sized work once (the Cholesky
@@ -67,8 +88,9 @@ scatter has zero trace, so the same setting behaves comparably across
 kernel scales. The effective value is stored on the model.
 
 solve returns a bare model. classify.fit_baseline attaches the kernel
-context with which project maps new samples: the kernel against the
-retained training features, centered, times B Lambda^{-1/2}.
+context with which project maps new samples, and load_model restores it
+by factoring the stored training features again, which gives the same
+pivots and C bit for bit.
 """
 
 from __future__ import annotations
@@ -76,13 +98,20 @@ from __future__ import annotations
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-# gram and center_cross_from_stats stay bound here for perfbench's tracer
-from .kernel import CenteringStats, KernelSpec, center_cross_from_stats, centered_cross_gram, gram
+# center_cross_from_stats stays bound here for perfbench's tracer
+from .kernel import (
+    CenteringStats,
+    KernelSpec,
+    center_cross_from_stats,
+    centered_cross_gram,
+    gram,
+    gram_diagonal,
+)
 from .scatter import ScatterSet
 
 
@@ -92,6 +121,9 @@ class SolverError(ValueError):
 
 _EIG_TOLERANCE = 1e-10  # relative to the largest eigenvalue
 _PIVOT_TOLERANCE = 1e-12  # relative to the largest diagonal entry of Kc
+# below this many rows the factor reads K's rows from one gram(x, x) call;
+# from it on, it forms each pivot's row on its own
+_ROWS_ON_DEMAND = 400
 _RESIDUAL_REL = 1e-6
 _RESIDUAL_FLOOR = 1e-12
 
@@ -102,6 +134,20 @@ def default_q(n: int, n_classes: int, n_domains: int) -> int:
 
 
 @dataclass(frozen=True)
+class PivotProjection:
+    """A factored model's projection through its m pivot rows.
+
+    A row x maps to c = k(x, features) @ weights (the C of the module
+    docstring), less offset (P' r) in "standard" mode or the batch's
+    summed c over n in "paper" mode.
+    """
+
+    features: np.ndarray
+    weights: np.ndarray
+    offset: np.ndarray
+
+
+@dataclass(frozen=True)
 class ProjectionModel:
     """Eigenvectors, eigenvalues and the training context for projection.
 
@@ -109,7 +155,9 @@ class ProjectionModel:
     eigenvalue, each column sign-fixed so its largest-magnitude entry is
     positive, normalized so B' D B = I). kernel_spec, training_features
     and centering are present on models from classify.fit_baseline or
-    load_model and absent on bare solve output.
+    load_model and absent on bare solve output. pivots is present when
+    the training kernel's factor stopped by n / 2 columns; project then
+    reads it instead of the n training rows.
     """
 
     coefficients: np.ndarray
@@ -122,6 +170,7 @@ class ProjectionModel:
     kernel_spec: KernelSpec | None = None
     training_features: np.ndarray | None = None
     centering: CenteringStats | None = None
+    pivots: PivotProjection | None = None
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=np.float64)
@@ -130,8 +179,10 @@ class ProjectionModel:
             raise SolverError("coefficients and eigenvalues are inconsistent")
         if lam.size == 0:
             raise SolverError("model has no components")
-        if np.any(lam <= 0) or np.any(np.diff(lam) > 0):
-            raise SolverError("eigenvalues must be positive and non-increasing")
+        if not np.all((lam > 0) & (lam < np.inf)) or np.any(np.diff(lam) > 0):
+            raise SolverError("eigenvalues must be finite, positive and non-increasing")
+        if not np.all(np.isfinite(coef)):
+            raise SolverError("coefficients must be finite")
         coef = coef.copy()
         coef.flags.writeable = False
         lam = lam.copy()
@@ -215,47 +266,78 @@ class PlaneSolution:
         )
 
 
-def range_basis(Kc: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the numerical range of a centered Gram matrix.
+@dataclass(frozen=True)
+class GramFactor:
+    """A partial pivoted Cholesky factor K = H H' of an uncentered Gram matrix.
 
-    A partial pivoted Cholesky: starting from diag(Kc), each step takes
-    the largest remaining diagonal entry d_p as pivot, forms one column of
-    the factor, g = (Kc[p] - G' G[:, p]) / sqrt(d_p), from a row of Kc (Kc
-    is symmetric), and lowers the remaining diagonal by g**2. It stops once
-    every remaining pivot is at most 1e-12 times the largest diagonal
-    entry, so its m columns are a factor G with Kc = G G' to that
-    tolerance, formed in O(n m^2) from m rows of Kc. Returns the n x m Q of
-    G's thin QR when 0 < 2m <= n, else None (the identity: solve on Kc
-    itself); a factor passing n / 2 columns is abandoned there.
+    H is n x m. pivots holds the m rows chosen, in order; H[pivots] is
+    lower triangular to rounding, since each column vanishes on the rows
+    pivoted before it.
     """
-    n = Kc.shape[0]
-    remaining = np.diag(Kc).copy()
+
+    H: np.ndarray
+    pivots: np.ndarray
+
+
+def factor_gram(x: np.ndarray, spec: KernelSpec) -> tuple[GramFactor | None, np.ndarray | None]:
+    """The partial pivoted Cholesky factor of K = gram(x, x, spec), and K if it was built.
+
+    Starting from diag(K), each step takes the largest remaining diagonal
+    entry d_p as pivot, forms one column of the factor,
+    h = (K[p] - H H[p]') / sqrt(d_p), from row p of K, and lowers the
+    remaining diagonal by h**2. The remaining diagonal bounds every entry
+    of K - H H'. It stops once every remaining pivot is at most 1e-12
+    times the largest diagonal entry of the matrix the solve reads, Kc =
+    Hc Hc' with Hc = H less its column means; that entry is evaluated
+    each time the pivots fall below the cut, which starts at 1e-12 of K's
+    largest diagonal entry, and grows with the factor. The
+    rows are formed on demand, as gram(x[p:p+1], x, spec), from
+    _ROWS_ON_DEMAND rows on; below, they are read from one gram(x, x,
+    spec), whose rows are bitwise the same, so the size rule changes the
+    cost only. That K is returned beside the factor, or None. The factor is
+    None when it has no column, would pass n / 2 columns, or meets a pivot
+    that is not a number or that the rounding of K's entries cancels.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    K = gram(x, x, spec) if n < _ROWS_ON_DEMAND else None
+    remaining = gram_diagonal(x, spec)
     tol = _PIVOT_TOLERANCE * float(remaining.max())
-    rows = np.empty((n // 2, n))  # the factor's columns, as rows
-    for m in range(n // 2 + 1):  # every pass breaks or returns by the last
-        p = int(remaining.argmax())
-        pivot = float(remaining[p])
-        if pivot <= tol:
+    cols = np.empty((min(n // 2, 64), n))  # the factor's columns, as rows; doubled when full
+    pivots = np.empty(n // 2, dtype=np.intp)
+    for m in range(n // 2 + 1):  # every pass breaks by the last
+        p = int(remaining.argmax())  # a NaN is picked first, and stops the factor
+        if not remaining[p] > tol and m:
+            # the cut is relative to Kc = Hc Hc', which the solve reads
+            Hc = cols[:m] - cols[:m].mean(axis=1, keepdims=True)
+            tol = _PIVOT_TOLERANCE * float(np.einsum("ki,ki->i", Hc, Hc).max())
+        if remaining[p] <= tol:
             break
-        if m == n // 2:
-            return None
-        g = rows[m]
-        np.subtract(Kc[p], rows[:m, p] @ rows[:m], out=g)
-        g *= 1.0 / math.sqrt(pivot)
-        remaining -= g * g
+        if m == n // 2 or not remaining[p] > tol:  # past n / 2 columns, or a NaN
+            return None, K
+        if m == len(cols):
+            cols = np.concatenate([cols, np.empty((min(m, n // 2 - m), n))])
+        row = K[p] if K is not None else gram(x[p : p + 1], x, spec)[0]
+        h = cols[m]
+        np.subtract(row, cols[:m, p] @ cols[:m], out=h)
+        h *= 1.0 / math.sqrt(remaining[p])
+        if not h[p] > 0:  # a pivot lost in the rounding of K's entries
+            return None, K
+        remaining -= h * h
         remaining[p] = -np.inf  # a pivot is never picked again
-    return None if m == 0 else np.linalg.qr(rows[:m].T)[0]
+        pivots[m] = p
+    return (GramFactor(cols[:m].copy().T, pivots[:m]) if m else None), K
 
 
 def solve_kpca(Kc: np.ndarray, q: int, basis: np.ndarray | None = None) -> PlaneSolution:
     """Top q components of the centered Gram matrix (kernel PCA), as one point.
 
-    With a basis from range_basis, the eigenpairs come from the m x m
-    matrix basis' Kc basis; at most m of them exist.
+    With an orthonormal basis Q of its range (n x m), Kc holds the rows
+    Q' Kc (m x n), and the eigenpairs come from the m x m matrix
+    Q' Kc Q; at most m of them exist.
     """
-    n = Kc.shape[0]
-    _check_q(q, n)
-    K = Kc if basis is None else basis.T @ Kc @ basis
+    _check_q(q, Kc.shape[1])
+    K = Kc if basis is None else Kc @ basis
     r = min(q, K.shape[0])
     lam, vecs = scipy.linalg.eigh(K, subset_by_index=[K.shape[0] - r, K.shape[0] - 1])
     order = np.argsort(-lam, kind="stable")
@@ -376,6 +458,27 @@ def projection_basis(coefficients: np.ndarray, eigenvalues: np.ndarray) -> np.nd
     return coefficients / np.sqrt(eigenvalues)
 
 
+def pivot_projection(factor: GramFactor, model: ProjectionModel) -> PivotProjection:
+    """How a model with kernel context projects through its training kernel's factor.
+
+    The factor is that of the model's training features, whose pivot rows
+    and C = L^{-T} H' P it returns; see the module docstring.
+    """
+    P = projection_basis(model.coefficients, model.eigenvalues)
+    H, pivots = factor.H, factor.pivots
+    C = scipy.linalg.solve_triangular(H[pivots], H.T @ P, trans="T", lower=True, check_finite=False)
+    return PivotProjection(model.training_features[pivots], C, model.centering.row_means @ P)
+
+
+def _checked_rows(new_features, d: int) -> np.ndarray:
+    x = np.asarray(new_features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise SolverError(f"new features must be 2-D with {d} columns, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("new features contain non-finite values")
+    return x
+
+
 def centered_cross_kernel(
     spec: KernelSpec,
     training_features: np.ndarray,
@@ -388,33 +491,34 @@ def centered_cross_kernel(
     The n x n_new result maps to features via .T @ projection_basis(...);
     see center_cross_from_stats for the two modes.
     """
-    x = np.asarray(new_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != training_features.shape[1]:
-        raise SolverError(
-            f"new features must be 2-D with {training_features.shape[1]} columns, "
-            f"got {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise SolverError("new features contain non-finite values")
+    x = _checked_rows(new_features, training_features.shape[1])
     return centered_cross_gram(training_features, x, spec, centering, mode)
 
 
 def project(model: ProjectionModel, new_features: np.ndarray, mode: str = "paper") -> np.ndarray:
     """Map new samples into the learned space.
 
-    Evaluates the kernel between the retained training samples and
-    new_features, centers the cross kernel per ``mode`` (see
-    center_cross_from_stats), and applies the scaled coefficients.
+    A factored model (pivots set) maps each row through its m pivot rows,
+    a dense one through the kernel against all n training rows, centered
+    per ``mode`` (see center_cross_from_stats); both give P' kc(x), as the
+    module docstring derives.
     """
     if model.kernel_spec is None or model.training_features is None or model.centering is None:
         raise SolverError(
             "model carries no kernel context; fit it with classify.fit_baseline "
             "or load it with load_model"
         )
-    Ktc = centered_cross_kernel(
-        model.kernel_spec, model.training_features, model.centering, new_features, mode
-    )
-    return Ktc.T @ projection_basis(model.coefficients, model.eigenvalues)
+    if mode not in ("paper", "standard"):
+        raise SolverError(f"unknown centering mode {mode!r}; use 'paper' or 'standard'")
+    x = _checked_rows(new_features, model.training_features.shape[1])
+    if model.pivots is None:
+        Ktc = centered_cross_gram(
+            model.training_features, x, model.kernel_spec, model.centering, mode
+        )
+        return Ktc.T @ projection_basis(model.coefficients, model.eigenvalues)
+    c = gram(x, model.pivots.features, model.kernel_spec) @ model.pivots.weights
+    c -= model.pivots.offset if mode == "standard" else c.sum(axis=0) / model.centering.n
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +629,7 @@ def load_model(path) -> ProjectionModel:
     # header counts are untrusted u64s: check them against the bytes present
     # before any array is sized from them
     size = 8 * (q + n * q + n * d + n)
-    if n < 1 or off + size > len(blob):
+    if n < 1 or d < 1 or off + size > len(blob):
         raise SolverError(
             f"{path}: truncated or corrupt model file (n={n}, d={d}, q={q} need "
             f"{size} array bytes, {len(blob) - off} present)"
@@ -533,9 +637,11 @@ def load_model(path) -> ProjectionModel:
     if off + size < len(blob):
         raise SolverError(f"{path}: {len(blob) - off - size} unexpected trailing bytes")
     arrays = np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
+    if not (np.all(np.isfinite(arrays)) and math.isfinite(grand)):
+        raise SolverError(f"{path}: the model's arrays or grand mean hold NaN or inf")
     lam, coef, feats, row_means = np.split(arrays, np.cumsum([q, n * q, n * d]))
     row_means.flags.writeable = False
-    return ProjectionModel(
+    model = ProjectionModel(
         coefficients=coef.reshape(n, q),
         eigenvalues=lam,
         gamma=gamma,
@@ -547,3 +653,6 @@ def load_model(path) -> ProjectionModel:
         training_features=feats.reshape(n, d),
         centering=CenteringStats(n=int(n), row_means=row_means, grand_mean=grand),
     )
+    # the fit's factor again, from the same rows: the same pivots, bit for bit
+    factor, _ = factor_gram(model.training_features, spec)
+    return model if factor is None else replace(model, pivots=pivot_projection(factor, model))

@@ -258,7 +258,10 @@ def pencil_eig_dense(scatters, *, q, gamma, alpha, epsilon):
 
 
 def range_basis_dpstrf(Kc):
-    """solver.range_basis by LAPACK's pivoted Cholesky over the whole matrix.
+    """An orthonormal basis of Kc's numerical range, by LAPACK's pivoted Cholesky.
+
+    The reference for the range basis of classify.kernel_head, which
+    factors the uncentered K instead, one pivot row at a time.
 
     dpstrf stops once every remaining pivot is at most 1e-12 of the
     largest diagonal entry; its m columns, put back in row order, are a

@@ -377,9 +377,9 @@ class TestFitBaseline:
 
     @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
     def test_reduced_preparation_matches_dense(self, tag, monkeypatch):
-        # at a wide bandwidth Kc's numerical rank is below n / 2, so the
-        # preparation writes the pencil in a range basis; without the basis
-        # it is today's dense one
+        # at a wide bandwidth K's numerical rank is below n / 2, so the
+        # preparation writes the pencil in a range basis; without the
+        # factor it is the dense one
         data = random_dataset(np.random.default_rng(5), n_domains=3, n=240, d=2, domain_shift=0.5)
         spec = ci.KernelSpec("rbf", 3.0 * ci.median_bandwidth(data.features))
         methods = [ci.Method(tag, gamma=g, q=5) for g in ((1.0,) if tag == "kpca" else (0.1, 1.0))]
@@ -389,9 +389,12 @@ class TestFitBaseline:
         if tag != "kpca":
             assert reduced.scatters.within.shape == (m, m)
             assert reduced.scatters.between_factor.shape == (m, 3)
-        monkeypatch.setattr(condinv.classify, "range_basis", lambda Kc: None)
+        monkeypatch.setattr(condinv.classify, "factor_gram", lambda x, spec: (None, None))
         dense = prepare_fit(tag, data, spec)
-        assert dense.basis is None and np.array_equal(dense.Kc, reduced.Kc)
+        assert dense.basis is None and dense.Kc.shape == (data.n, data.n)
+        # the reduced rows are the dense Kc in the basis's coordinates
+        Q = reduced.basis
+        assert np.linalg.norm(dense.Kc - Q @ reduced.Kc) <= 1e-10 * np.linalg.norm(dense.Kc)
         assert_same_solution(fit_plane(methods, reduced), fit_plane(methods, dense), dense.Kc)
 
     def test_sign_flip_of_features_keeps_predictions(self, rng):

@@ -12,6 +12,7 @@ import yaml
 
 import condinv as ci
 from condinv.cli import main
+from conftest import random_dataset
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 QUICK_CONFIG = os.path.join(CONFIG_DIR, "quick.yaml")
@@ -370,6 +371,29 @@ class TestProjectAndExport:
         assert "training samples:" in out
         assert "components:" in out
         assert "eigenvalues:" in out
+
+    def test_inspect_model_projecting_through_every_row(self, tmp_path, capsys):
+        # 12 rows at a narrow bandwidth: the factor passes n / 2 columns
+        data = random_dataset(np.random.default_rng(3), n=12, d=2)
+        model = ci.fit_baseline(ci.Method("cidg", q=2), data, ci.KernelSpec(bandwidth=0.5))
+        assert model.pivots is None
+        path = tmp_path / "dense.model"
+        ci.save_model(model, path)
+        capsys.readouterr()
+        assert main(["inspect-model", "--model", str(path)]) == 0
+        assert "projection: all 12 training rows\n" in capsys.readouterr().out
+
+    def test_inspect_model_projecting_through_pivots(self, tmp_path, capsys):
+        # 40 one-dimensional rows at a wide bandwidth: the factor stops early
+        data = random_dataset(np.random.default_rng(3), n=40, d=1)
+        model = ci.fit_baseline(ci.Method("cidg", q=2), data, ci.KernelSpec(bandwidth=2.0))
+        m = model.pivots.features.shape[0]
+        assert 2 * m <= 40
+        path = tmp_path / "factored.model"
+        ci.save_model(model, path)
+        capsys.readouterr()
+        assert main(["inspect-model", "--model", str(path)]) == 0
+        assert f"projection: {m} of 40 training rows (pivots)\n" in capsys.readouterr().out
 
     def test_inspect_missing_model(self, tmp_path, capsys):
         code = main(["inspect-model", "--model", str(tmp_path / "no.model")])

@@ -671,13 +671,13 @@ class TestSharedHeads:
         import condinv.classify
 
         rows = []
-        centered_gram = condinv.classify.centered_gram
+        factor_gram = condinv.classify.factor_gram
 
         def counted(features, spec):
             rows.append(len(features))
-            return centered_gram(features, spec)
+            return factor_gram(features, spec)
 
-        monkeypatch.setattr(condinv.classify, "centered_gram", counted)
+        monkeypatch.setattr(condinv.classify, "factor_gram", counted)
         config = small_config(methods=ci.METHOD_TAGS)  # 2 repetitions, 2 scales
         ci.run_experiment(config)
         train, _, fit_part = ci.repetition_parts(config, 0)

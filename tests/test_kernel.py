@@ -41,6 +41,15 @@ class TestKernelSpec:
         with pytest.raises(KernelError, match="positive finite number"):
             ci.KernelSpec(bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("bandwidth", [1e155, 1e300, 1e-163, 5e-324])
+    def test_rejects_bandwidth_whose_square_over_or_underflows(self, bandwidth):
+        # gram divides by 2 * bandwidth^2, which would be inf or 0
+        with pytest.raises(KernelError, match="positive finite number"):
+            ci.KernelSpec(bandwidth=bandwidth)
+
+    def test_accepts_bandwidths_near_the_limits(self):
+        assert ci.KernelSpec(bandwidth=1e150).resolved and ci.KernelSpec(bandwidth=1e-150).resolved
+
     def test_resolved_flag(self):
         assert ci.KernelSpec(bandwidth=2.0).resolved
         assert not ci.KernelSpec(bandwidth="median").resolved

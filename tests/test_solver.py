@@ -2,6 +2,8 @@
 
 import os
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import condinv as ci
-from condinv.kernel import CenteringStats, centered_gram
+import condinv.classify
+import condinv.solver
+from condinv.classify import kernel_head
+from condinv.dataset import SyntheticSpec
 from condinv.scatter import ScatterSet
-from condinv.solver import SolverError, projection_basis, range_basis, solve_kpca, solve_plane
+from condinv.solver import SolverError, factor_gram, projection_basis, solve_kpca, solve_plane
 import oracles
 from conftest import assert_same_solution, random_dataset
 from test_cli import CONFIG_DIR
@@ -350,13 +355,27 @@ class TestSolvePlane:
         assert solution.kept.tolist() == [0, 0]
 
 
-def rbf_case(n, scale, seed=0, n_classes=3):
-    """An RBF Gram matrix of n rows at scale times the median bandwidth."""
+def rbf_rows(n, scale, seed=0, n_classes=3):
+    """n random rows and the RBF kernel at scale times their median bandwidth."""
     rng = np.random.default_rng(seed)
     data = random_dataset(rng, n_domains=3, n_classes=n_classes, n=n, d=2, domain_shift=0.5)
-    spec = ci.KernelSpec("rbf", scale * ci.median_bandwidth(data.features))
+    return data, ci.KernelSpec("rbf", scale * ci.median_bandwidth(data.features))
+
+
+def rbf_case(n, scale, seed=0, n_classes=3):
+    """The centered Gram matrix of rbf_rows, their weights and a fit's kernel head.
+
+    The head holds the range basis and the Gram rows in it, or None.
+    """
+    data, spec = rbf_rows(n, scale, seed, n_classes)
     Kc = ci.center_train(ci.gram(data.features, data.features, spec))
-    return Kc, ci.build_weights(ci.group_index(data))
+    return Kc, ci.build_weights(ci.group_index(data)), kernel_head(data, spec)
+
+
+def one_group_head(x, spec):
+    """The kernel head of a fit on the rows x, as one class in one domain."""
+    ones = np.ones(len(x), dtype=np.int64)
+    return kernel_head(ci.LabeledDataset(x, ones, ones), spec)
 
 
 # (n, bandwidth scale): every one has numerical rank m with 2m <= n
@@ -364,52 +383,54 @@ REDUCED_CASES = [(150, 2.0), (220, 1.0), (300, 4.0), (400, 1.5)]
 
 
 class TestRangeBasis:
-    """The reduced solve in range_basis coordinates against the dense one."""
+    """The reduced solve in the kernel head's range basis against the dense one."""
 
     @pytest.mark.parametrize("n, scale", REDUCED_CASES)
     def test_orthonormal_basis_of_the_range(self, n, scale):
-        Kc, _ = rbf_case(n, scale)
-        Q = range_basis(Kc)
+        Kc, _, head = rbf_case(n, scale)
+        Q = head.basis
         assert Q is not None and Q.shape[0] == n and 2 * Q.shape[1] <= n
         assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-12)
         assert np.linalg.norm(Kc - Q @ (Q.T @ Kc)) <= 1e-10 * np.linalg.norm(Kc)
+        # the head's rows are Q' Kc
+        assert np.linalg.norm(head.Kc - Q.T @ Kc) <= 1e-10 * np.linalg.norm(Kc)
 
     def test_identity_when_the_rank_exceeds_half(self):
-        Kc, _ = rbf_case(150, 0.05)
+        Kc, _, head = rbf_case(150, 0.05)
         assert np.linalg.matrix_rank(Kc) > 75
-        assert range_basis(Kc) is None
+        assert head.basis is None and head.factor is None
+        assert np.array_equal(head.Kc, Kc)
         # a zero Gram matrix has nothing to reduce: the dense path reports it
-        assert range_basis(np.zeros((150, 150))) is None
+        zero = one_group_head(np.zeros((150, 2)), ci.KernelSpec("linear", 1.0))
+        assert zero.basis is None and not zero.Kc.any()
 
     @pytest.mark.parametrize("n, scale", REDUCED_CASES)
     def test_plane_matches_dense(self, n, scale):
-        Kc, w = rbf_case(n, scale)
-        Q = range_basis(Kc)
+        Kc, w, head = rbf_case(n, scale)
         plane = [(0.0, 0.0), (0.1, 1.0), (1.0, 1.0), (10.0, 0.5)]
         for q in (2, 6):
             want = solve_plane(ci.scatter_set(Kc, w), plane, q, 1e-5)
-            got = solve_plane(ci.scatter_set(Q.T @ Kc, w, Q), plane, q, 1e-5)
+            got = solve_plane(ci.scatter_set(head.Kc, w, head.basis), plane, q, 1e-5)
             assert_same_solution(got, want, Kc)
 
     @pytest.mark.parametrize("n, scale", REDUCED_CASES)
     def test_kpca_matches_dense(self, n, scale):
-        Kc, _ = rbf_case(n, scale)
-        Q = range_basis(Kc)
+        Kc, _, head = rbf_case(n, scale)
         for q in (1, 5, 12):
-            assert_same_solution(solve_kpca(Kc, q, Q), solve_kpca(Kc, q), Kc)
+            assert_same_solution(solve_kpca(head.Kc, q, head.basis), solve_kpca(Kc, q), Kc)
 
     def test_q_above_the_rank(self):
-        Kc, w = rbf_case(300, 4.0)
-        Q = range_basis(Kc)
+        Kc, w, head = rbf_case(300, 4.0)
+        Q = head.basis
         q = Q.shape[1] + 3
-        got = solve_kpca(Kc, q, Q)
+        got = solve_kpca(head.Kc, q, Q)
         want = solve_kpca(Kc, q)
         assert got.coefficients.shape[2] == Q.shape[1] < want.coefficients.shape[2]
         assert got.warnings[0] and got.warnings == want.warnings
         assert_same_solution(got, want, Kc)
         plane = [(1.0, 1.0)]
         assert_same_solution(
-            solve_plane(ci.scatter_set(Q.T @ Kc, w, Q), plane, q, 1e-5),
+            solve_plane(ci.scatter_set(head.Kc, w, Q), plane, q, 1e-5),
             solve_plane(ci.scatter_set(Kc, w), plane, q, 1e-5),
             Kc,
         )
@@ -417,11 +438,10 @@ class TestRangeBasis:
     def test_zero_between_factor_fails_every_point_as_dense(self):
         # one class: every pooled class mean is the overall mean, so the
         # between factor is a zero column in either coordinates
-        Kc, w = rbf_case(200, 2.0, n_classes=1)
-        Q = range_basis(Kc)
-        assert Q is not None
+        Kc, w, head = rbf_case(200, 2.0, n_classes=1)
+        assert head.basis is not None
         plane = [(0.0, 0.0), (1.0, 1.0)]
-        got = solve_plane(ci.scatter_set(Q.T @ Kc, w, Q), plane, 2, 1e-5)
+        got = solve_plane(ci.scatter_set(head.Kc, w, head.basis), plane, 2, 1e-5)
         want = solve_plane(ci.scatter_set(Kc, w), plane, 2, 1e-5)
         assert got.kept.tolist() == want.kept.tolist() == [0, 0]
         assert [str(e) for e in got.errors] == [str(e) for e in want.errors] == [
@@ -429,54 +449,172 @@ class TestRangeBasis:
         ] * 2
 
     def test_basis_shape_is_checked(self):
-        Kc, w = rbf_case(150, 2.0)
-        Q = range_basis(Kc)
+        _, w, head = rbf_case(150, 2.0)
         with pytest.raises(SolverError, match="inconsistent shapes"):
-            solve_plane(ci.scatter_set(Q.T @ Kc, w, Q[:, 1:]), [(1.0, 1.0)], 2, 1e-5)
+            solve_plane(ci.scatter_set(head.Kc, w, head.basis[:, 1:]), [(1.0, 1.0)], 2, 1e-5)
 
 
-def benchmark_grams():
-    """The fit-part and refit Kc of benchmark.yaml's repetition 0 at every grid scale."""
+def benchmark_rows():
+    """The fit-part and refit rows of benchmark.yaml's repetition 0, with each grid scale's kernel."""
     config = ci.config_from_file(os.path.join(CONFIG_DIR, "benchmark.yaml"))
     train, _, fit_part = ci.repetition_parts(config, 0)
     for part in (fit_part, train):
         base = ci.median_bandwidth(part.features)
         for scale in config.grids.bandwidth_scale:
-            yield centered_gram(part.features, ci.KernelSpec("rbf", base * scale))[0]
+            yield part.features, ci.KernelSpec("rbf", base * scale)
 
 
 class TestRangeBasisOracle:
     """The partial pivoted Cholesky against LAPACK's dpstrf over the whole matrix."""
 
     @staticmethod
-    def assert_same_range(Kc):
-        got, want = range_basis(Kc), oracles.range_basis_dpstrf(Kc)
+    def assert_same_range(x, spec):
+        Kc = ci.center_train(ci.gram(x, x, spec))
+        got, want = one_group_head(x, spec).basis, oracles.range_basis_dpstrf(Kc)
         assert (got is None) == (want is None)
         if want is None:
             return
-        assert got.shape == want.shape
         assert np.allclose(got.T @ got, np.eye(got.shape[1]), rtol=0.0, atol=1e-12)
         # the directions near the 1e-12 pivot cut are fixed only to rounding
         # over the cut, in either factor (dpstrf against itself on a permuted
-        # Kc differs by as much); the projection of Kc, which is all the
-        # solve reads, agrees to rounding
+        # Kc differs by as much), and the factor of K may keep a few more or
+        # fewer of them than dpstrf's of Kc; the projection of Kc, which is
+        # all the solve reads, agrees to rounding
         diff = got @ (got.T @ Kc) - want @ (want.T @ Kc)
         assert np.linalg.norm(diff) <= 1e-10 * np.linalg.norm(Kc)
 
     @pytest.mark.parametrize("n, scale", REDUCED_CASES + [(150, 0.05), (2000, 1.0)])
     def test_matches_dpstrf(self, n, scale):
-        self.assert_same_range(rbf_case(n, scale)[0])
+        data, spec = rbf_rows(n, scale)
+        self.assert_same_range(data.features, spec)
 
     def test_matches_dpstrf_on_the_benchmark_repetition(self):
-        grams = list(benchmark_grams())
-        assert len(grams) == 10
-        for Kc in grams:
-            self.assert_same_range(Kc)
+        cases = list(benchmark_rows())
+        assert len(cases) == 10
+        for x, spec in cases:
+            self.assert_same_range(x, spec)
 
     def test_rank_one(self):
         v = np.arange(1.0, 7.0)
-        Q = range_basis(np.outer(v, v))
-        assert Q.shape == (6, 1) and np.allclose(np.abs(Q[:, 0]), v / np.linalg.norm(v))
+        head = one_group_head(v[:, None], ci.KernelSpec("linear", 1.0))
+        # K = v v' has the one column v; its centered range is v less its mean
+        assert head.factor.H.shape == (6, 1)
+        assert np.allclose(np.abs(head.factor.H[:, 0]), v)
+        c = v - v.mean()
+        assert head.basis.shape == (6, 1)
+        assert np.allclose(np.abs(head.basis[:, 0]), np.abs(c) / np.linalg.norm(c))
+
+
+def benchmark_source_target(factor=1, seed=7):
+    """The benchmark geometry with every cell count times factor: source and target rows.
+
+    Domains 1 and 2 are the source, 213 rows at factor 1, and domain 3 the
+    target, which lies outside the sources' support.
+    """
+    base = ci.benchmark_spec(seed)
+    cells = {key: replace(cell, count=cell.count * factor) for key, cell in base.cells.items()}
+    data = ci.generate_synthetic(SyntheticSpec(cells=cells, seed=seed))
+    return data.subset_domains([1, 2]), data.subset_domains([3])
+
+
+@pytest.fixture(scope="module")
+def large_source_target():
+    """fit-large's rows (2,000 source, 1,200 target) and their median-bandwidth kernel."""
+    source, target = benchmark_source_target(factor=10)
+    return source, target, ci.resolve_bandwidth(ci.KernelSpec(), source.features)
+
+
+class TestPivotProjection:
+    """Factored models project through their pivot rows, against the n-row path."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.05])
+    def test_rows_on_demand_give_the_same_factor(self, scale, monkeypatch):
+        # at scale 0.05 the factor passes n / 2 columns on either row source
+        source, _ = benchmark_source_target()
+        x = source.features
+        spec = ci.KernelSpec("rbf", scale * ci.median_bandwidth(x))
+        monkeypatch.setattr(condinv.solver, "_ROWS_ON_DEMAND", x.shape[0] + 1)
+        read, K = factor_gram(x, spec)
+        assert np.array_equal(K, ci.gram(x, x, spec))
+        monkeypatch.setattr(condinv.solver, "_ROWS_ON_DEMAND", 0)
+        formed, none = factor_gram(x, spec)
+        assert none is None
+        if scale < 1.0:
+            assert read is None and formed is None
+            # the dense head centers the K it read, or builds one
+            dense = kernel_head(source, spec)
+            monkeypatch.setattr(condinv.solver, "_ROWS_ON_DEMAND", x.shape[0] + 1)
+            assert np.array_equal(dense.Kc, kernel_head(source, spec).Kc)
+            return
+        assert 2 * read.H.shape[1] <= x.shape[0]
+        assert np.array_equal(read.H, formed.H) and np.array_equal(read.pivots, formed.pivots)
+
+    @pytest.mark.parametrize("tag", ["kpca", "dica_marginal", "kfda", "cidg"])
+    def test_matches_the_n_row_projection(self, tag):
+        source, target = benchmark_source_target()
+        model = ci.fit_baseline(ci.Method(tag), source, ci.KernelSpec())
+        m = model.pivots.features.shape[0]
+        assert 2 * m <= source.n
+        dense = replace(model, pivots=None)  # the same coefficients through all n rows
+        for mode in ("paper", "standard"):
+            for rows, rel in ((source, 1e-9), (target, 1e-5)):
+                want = ci.project(dense, rows.features, mode=mode)
+                got = ci.project(model, rows.features, mode=mode)
+                assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+    @pytest.mark.parametrize("factor", [1, 10])  # rows read from K, and formed on demand
+    def test_reloaded_model_projects_bitwise_the_same(self, factor, tmp_path):
+        source, target = benchmark_source_target(factor)
+        model = ci.fit_baseline(ci.Method("cidg"), source, ci.KernelSpec())
+        path = tmp_path / "m.model"
+        ci.save_model(model, path)
+        back = ci.load_model(path)
+        assert np.array_equal(back.pivots.features, model.pivots.features)
+        assert np.array_equal(back.pivots.weights, model.pivots.weights)
+        for mode in ("paper", "standard"):
+            assert np.array_equal(
+                ci.project(back, target.features, mode=mode),
+                ci.project(model, target.features, mode=mode),
+            )
+
+    def test_fit_and_project_form_no_n_sized_kernel(self, large_source_target, monkeypatch):
+        source, target, spec = large_source_target
+        shapes = []
+
+        def recorded(gram):
+            def call(a, b, spec):
+                out = gram(a, b, spec)
+                shapes.append(out.shape)
+                return out
+            return call
+
+        for module in (condinv.solver, condinv.classify):
+            monkeypatch.setattr(module, "gram", recorded(module.gram))
+        model = ci.fit_baseline(ci.Method("cidg"), source, spec)
+        ci.project(model, source.features)
+        ci.project(model, target.features, mode="standard")
+        m = model.pivots.features.shape[0]
+        assert 2 * m <= source.n
+        # pivot rows while factoring (1 x n), pivot kernels while projecting (n_new x m)
+        assert shapes and all(min(shape) in (1, m) for shape in shapes)
+
+    def test_fit_and_project_allocation_budget(self, large_source_target):
+        source, target, spec = large_source_target
+        n = source.n
+
+        def fit_and_project():
+            model = ci.fit_baseline(ci.Method("cidg"), source, spec)
+            ci.project(model, source.features)
+            ci.project(model, target.features)
+
+        fit_and_project()  # first call outside the trace: lazy imports and caches
+        tracemalloc.start()
+        try:
+            fit_and_project()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n * n
 
 
 class TestProjectionModel:
@@ -497,6 +635,23 @@ class TestProjectionModel:
             ci.ProjectionModel(
                 coefficients=np.ones((3, 2)),
                 eigenvalues=np.array([1.0, 2.0]),
+                gamma=1.0, alpha=1.0, effective_epsilon=1e-5, requested_q=2,
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values(self, value):
+        bad = np.ones((3, 2))
+        bad[1, 0] = value
+        with pytest.raises(SolverError, match="finite, positive"):
+            ci.ProjectionModel(
+                coefficients=np.ones((3, 2)),
+                eigenvalues=np.array([value, 1.0]),
+                gamma=1.0, alpha=1.0, effective_epsilon=1e-5, requested_q=2,
+            )
+        with pytest.raises(SolverError, match="coefficients must be finite"):
+            ci.ProjectionModel(
+                coefficients=bad,
+                eigenvalues=np.array([2.0, 1.0]),
                 gamma=1.0, alpha=1.0, effective_epsilon=1e-5, requested_q=2,
             )
 
@@ -659,16 +814,46 @@ class TestModelSerialization:
         with pytest.raises(SolverError, match="not found"):
             ci.load_model(tmp_path / "absent.model")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coefficients", "training_features", "row_means", "grand_mean"])
+    def test_non_finite_arrays(self, rng, tmp_path, field, value):
+        data = random_dataset(rng, n=12, d=2)
+        model = ci.fit_baseline(ci.Method("kpca", q=2), data, ci.KernelSpec(bandwidth=1.0))
+        assert not model.warnings  # the arrays follow the 4-byte warning count
+        path = tmp_path / "m.model"
+        ci.save_model(model, path)
+        n, d, q = 12, 2, model.n_components
+        arrays = 8 + 80 + 4
+        offset = {
+            "grand_mean": 8 + 72,
+            "coefficients": arrays + 8 * q,
+            "training_features": arrays + 8 * (q + n * q),
+            "row_means": arrays + 8 * (q + n * q + n * d),
+        }[field]
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SolverError, match="NaN or inf"):
+            ci.load_model(path)
+
 
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
-    """Bytes of a saved cidg model with a warning, and a scratch path."""
-    data = random_dataset(np.random.default_rng(21), n=12, d=2)
-    model = ci.fit_baseline(ci.Method("cidg", q=11), data, ci.KernelSpec(bandwidth=1.0))
-    assert model.warnings
+    """Bytes of two saved cidg models with a warning, and a scratch path.
+
+    The 12-row model projects through all its rows; the 40-row one, at a
+    wide bandwidth, through its factor's pivots, which load_model finds
+    again, so the fuzzing reaches that factor too.
+    """
+    blobs = []
     path = tmp_path_factory.mktemp("fuzz") / "m.model"
-    ci.save_model(model, path)
-    return path.read_bytes(), path
+    for n, d, bandwidth, factored in ((12, 2, 1.0, False), (40, 1, 2.0, True)):
+        data = random_dataset(np.random.default_rng(21), n=n, d=d)
+        model = ci.fit_baseline(ci.Method("cidg", q=n - 1), data, ci.KernelSpec(bandwidth=bandwidth))
+        assert model.warnings and (model.pivots is not None) == factored
+        ci.save_model(model, path)
+        blobs.append(path.read_bytes())
+    return blobs, path
 
 
 def load_or_none(path, blob):
@@ -688,14 +873,16 @@ class TestLoadModelFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_truncations_raise_solver_error(self, saved_model, data):
-        blob, path = saved_model
+        blobs, path = saved_model
+        blob = data.draw(st.sampled_from(blobs))
         cut = data.draw(st.integers(0, len(blob) - 1))
         assert load_or_none(path, blob[:cut]) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_bit_flips_raise_only_solver_error(self, saved_model, data):
-        blob, path = saved_model
+        blobs, path = saved_model
+        blob = data.draw(st.sampled_from(blobs))
         flips = data.draw(
             st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 7)),
                      min_size=1, max_size=8)
@@ -708,7 +895,8 @@ class TestLoadModelFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_inconsistent_counts_raise_solver_error(self, saved_model, data):
-        blob, path = saved_model
+        blobs, path = saved_model
+        blob = data.draw(st.sampled_from(blobs))
         out = bytearray(blob)
         offset = data.draw(st.sampled_from([_N_OFF, _D_OFF, _Q_OFF]))
         (old,) = struct.unpack_from("<Q", blob, offset)
@@ -722,7 +910,8 @@ class TestLoadModelFuzz:
     @settings(max_examples=100, deadline=None)
     @given(st.floats(max_value=0.0) | st.just(float("nan")))
     def test_invalid_bandwidth_raises_solver_error(self, saved_model, bandwidth):
-        blob, path = saved_model
-        out = bytearray(blob)
-        struct.pack_into("<d", out, _BW_OFF, bandwidth)
-        assert load_or_none(path, bytes(out)) is None
+        blobs, path = saved_model
+        for blob in blobs:
+            out = bytearray(blob)
+            struct.pack_into("<d", out, _BW_OFF, bandwidth)
+            assert load_or_none(path, bytes(out)) is None
